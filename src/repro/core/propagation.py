@@ -28,8 +28,9 @@ on anything else inside it, which yields both optimisations at once:
   closure evaluation.  Chunk results are concatenated back in owner
   order, keeping the output deterministic regardless of pool scheduling.
 
-Without numpy the kernel degrades gracefully to the sequential pass, so
-``propagation="vectorized"`` is safe to request unconditionally.
+The sweep packs ``(owner, hi)`` into one int64 key, so a numbering whose
+gaps are so wide that ``n * (max number + 1)`` reaches ``2**62`` runs the
+sequential reference pass instead — same labeling, no overflow.
 """
 
 from __future__ import annotations
@@ -116,22 +117,23 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
     Mutates ``labeling.intervals`` in place to the exact sets the
     sequential pass produces.  ``parallel=True`` additionally fans wide
     levels out over a process pool (``processes`` caps the pool size;
-    default ``os.cpu_count()``).  Falls back to the sequential pass when
-    numpy is unavailable.
+    default ``os.cpu_count()``).  Runs the sequential pass instead when
+    the numbering is too wide for the int64 sweep keys.
     """
-    np = _numpy()
-    if np is None:  # numpy-free installs: correct, just not vectorized
-        propagate_intervals(graph, cover, labeling)
-        return
-
     order = cover.order
     n = len(order)
     if not n:
         return
+    tree = labeling.tree_interval
+    # Every interval lies inside some tree interval, so this bounds the
+    # sweep key ``owner * (hi + 1)`` of every level at once.
+    if n * (max(span.hi for span in tree.values()) + 1) >= 2**62:
+        propagate_intervals(graph, cover, labeling)
+        return
+    np = _numpy()
     successors = graph.successors
     succ_lists = [successors(node) for node in order]
     level_of = _levelize_lists(order, succ_lists)
-    tree = labeling.tree_interval
 
     # One-time move into id space (id = position in `order`): the graph
     # as CSR arrays, the tree intervals as flat arrays.  After this,
@@ -206,14 +208,7 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
                 owners = np.concatenate([
                     np.arange(count, dtype=np.int64),
                     np.repeat(arc_owner, lengths)])
-                if count * (int(his.max()) + 1) >= 2**62:  # pragma: no cover
-                    # The segmented sweep keys would overflow int64; such
-                    # numberings only arise from astronomically large
-                    # gaps — take the slow path for this level.
-                    kept_lo, kept_hi, kept_owner = _sweep_python(
-                        np, ids, tree_lo_all, tree_hi_all, pool_lo,
-                        pool_hi, start_arr, end_arr, indptr, indices)
-                elif pool is not None and len(los) >= PARALLEL_MIN_ITEMS:
+                if pool is not None and len(los) >= PARALLEL_MIN_ITEMS:
                     kept_lo, kept_hi, kept_owner = _sweep_parallel(
                         np, pool, los, his, owners, count)
                 else:
@@ -279,32 +274,6 @@ def _sweep_parallel(np, pool, los, his, owners, num_owners):
     return (np.concatenate([r[0] for r in results]),
             np.concatenate([r[1] for r in results]),
             np.concatenate([r[2] for r in results]))
-
-
-def _sweep_python(np, ids, tree_lo_all, tree_hi_all, pool_lo, pool_hi,
-                  start_arr, end_arr, indptr, indices):
-    """Sequential fallback for one level (sweep-key overflow guard).
-
-    Produces the same (owner, lo)-ordered kept arrays the vectorized
-    sweep would: ``add_all``'s survivors are sorted by ``lo`` ascending,
-    matching the segmented sweep's output order.
-    """
-    kept_lo: List[int] = []
-    kept_hi: List[int] = []
-    kept_owner: List[int] = []
-    for position, node_id in enumerate(ids):
-        own = IntervalSet([(int(tree_lo_all[node_id]),
-                            int(tree_hi_all[node_id]))])
-        for successor in indices[indptr[node_id]:indptr[node_id + 1]]:
-            begin, end = int(start_arr[successor]), int(end_arr[successor])
-            own.add_all(zip(pool_lo[begin:end].tolist(),
-                            pool_hi[begin:end].tolist()))
-        kept_lo.extend(own._los)
-        kept_hi.extend(own._his)
-        kept_owner.extend([position] * len(own._los))
-    return (np.asarray(kept_lo, dtype=np.int64),
-            np.asarray(kept_hi, dtype=np.int64),
-            np.asarray(kept_owner, dtype=np.int64))
 
 
 def run_propagation(graph: DiGraph, cover: TreeCover, labeling: Labeling,

@@ -162,7 +162,7 @@ def path_exists_batch(index: Engine,
     """Vector form of :meth:`IntervalTCIndex.reachable` for benchmark loops.
 
     Delegates to :meth:`FrozenTCIndex.reachable_many` (one vectorised
-    lookup under numpy) whenever a frozen view is available; the
+    lookup) whenever a frozen view is available; the
     list-of-bools contract is identical either way.
     """
     return _engine(index).reachable_many(pairs)

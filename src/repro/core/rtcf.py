@@ -37,13 +37,14 @@ row-keyed lows, the reverse interval index (lo, hi, owner, prefix-max
 hi), and the optional label->rank lookup table.
 
 Integrity comes in two tiers.  Structural validation — magic, version,
-header checksum, every section in bounds and size-consistent — is
-always performed at open and costs a few hundred bytes of reads, so a
-truncated file is diagnosed without faulting in the payload.  Full
-payload CRC verification (``verify=True``, or :func:`verify_rtcf`)
-reads every page and is what ``repro convert`` and the corruption tests
-use; the mmap fast path skips it by default because checksumming the
-whole file would defeat the zero-copy cold start.
+header checksum, every section in bounds with the dtype and size its
+role demands — is always performed at open and costs a few hundred
+bytes of reads, so a truncated file is diagnosed without faulting in
+the payload.  Full payload CRC verification (``verify=True``, or
+:func:`verify_rtcf`) reads every page and is what ``repro convert`` and
+the corruption tests use; the mmap fast path skips it by default
+because checksumming the whole file would defeat the zero-copy cold
+start.
 
 Writes are deterministic — same buffers, same bytes — so
 ``save -> load -> save`` is bit-stable, which the tests assert.
@@ -68,12 +69,11 @@ import json
 import mmap
 import os
 import struct
-import sys
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.core.frozen import FrozenTCIndex, _numpy, _resolve_backend
+from repro.core.frozen import FrozenTCIndex, _numpy
 from repro.durability.atomic import RealFS, atomic_write_bytes
 from repro.errors import CorruptFileError, NodeNotFoundError, ReproError
 from repro.graph.digraph import Node
@@ -100,7 +100,6 @@ DTYPE_BLOB = 0          # raw bytes (UTF-8 JSON for the label section)
 DTYPE_INT32 = 1
 DTYPE_INT64 = 2
 _DTYPE_SIZES = {DTYPE_INT32: 4, DTYPE_INT64: 8}
-_DTYPE_CODES = {DTYPE_INT32: "i", DTYPE_INT64: "q"}
 
 SEC_LABELS = 1
 SEC_NUMBERS = 2
@@ -128,13 +127,16 @@ SECTION_NAMES = {
     SEC_LUT: "lut",
 }
 
+#: Rank-space sections: ``m`` entries each, sharing one int32/int64 dtype.
+_INTERVAL_SECTIONS = (SEC_LOWS, SEC_HIGHS, SEC_LOKEYED, SEC_REVLO,
+                      SEC_REVHI, SEC_REVOWNER, SEC_REVMAXHI)
+
 #: Sections every RTCF file must carry (LUT is optional).
-_REQUIRED = (SEC_LABELS, SEC_NUMBERS, SEC_OFFSETS, SEC_LOWS, SEC_HIGHS,
-             SEC_LOKEYED, SEC_REVLO, SEC_REVHI, SEC_REVOWNER, SEC_REVMAXHI)
+_REQUIRED = (SEC_LABELS, SEC_NUMBERS, SEC_OFFSETS) + _INTERVAL_SECTIONS
 
 #: Upper bound on the label value the lookup table is worth building
-#: for — must match :meth:`FrozenTCIndex._build_lut` so a file written
-#: from any backend materialises the same view a live freeze would.
+#: for — must match :meth:`FrozenTCIndex._build_lut` so a loaded file
+#: materialises the same view a live freeze would.
 _LUT_FLOOR = 65536
 
 
@@ -161,21 +163,9 @@ def _int_labels(nodes: Sequence) -> bool:
     return all(type(node) is int and 0 <= node < 2**63 for node in nodes)
 
 
-def _pack_ints(values, code: int) -> bytes:
-    """Little-endian packing of an int sequence without numpy."""
-    from array import array
-    typecode = _DTYPE_CODES[code]
-    packed = array(typecode, values)
-    if packed.itemsize != _DTYPE_SIZES[code]:  # pragma: no cover - exotic ABI
-        fmt = "<%d%s" % (len(values), "i" if code == DTYPE_INT32 else "q")
-        return struct.pack(fmt, *values)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def _derive_sections_numpy(nodes, numbers, offsets, lows, highs, np):
+def _derive_sections(nodes, numbers, offsets, lows, highs):
     """All section payloads, derived exactly as the frozen engine would."""
+    np = _numpy()
     n = len(nodes)
     code = _interval_dtype_code(n)
     dtype = np.int32 if code == DTYPE_INT32 else np.int64
@@ -220,66 +210,13 @@ def _derive_sections_numpy(nodes, numbers, offsets, lows, highs, np):
     return sections, flags
 
 
-def _derive_sections_stdlib(nodes, numbers, offsets, lows, highs):
-    """Pure-stdlib twin of :func:`_derive_sections_numpy` (same bytes)."""
-    n = len(nodes)
-    code = _interval_dtype_code(n)
-    off = [int(value) for value in offsets]
-    lo = [int(value) for value in lows]
-    hi = [int(value) for value in highs]
-    row_of: List[int] = []
-    for rank in range(n):
-        row_of.extend([rank] * (off[rank + 1] - off[rank]))
-    lo_keyed = [row_of[i] * n + lo[i] for i in range(len(lo))]
-    order = sorted(range(len(lo)), key=lo.__getitem__)
-    rev_lo = [lo[i] for i in order]
-    rev_hi = [hi[i] for i in order]
-    rev_owner = [row_of[i] for i in order]
-    rev_maxhi: List[int] = []
-    top = -1
-    for value in rev_hi:
-        top = value if value > top else top
-        rev_maxhi.append(top)
-
-    sections = [
-        (SEC_NUMBERS, DTYPE_INT64, _pack_ints(
-            [int(number) for number in numbers], DTYPE_INT64)),
-        (SEC_OFFSETS, DTYPE_INT64, _pack_ints(off, DTYPE_INT64)),
-        (SEC_LOWS, code, _pack_ints(lo, code)),
-        (SEC_HIGHS, code, _pack_ints(hi, code)),
-        (SEC_LOKEYED, code, _pack_ints(lo_keyed, code)),
-        (SEC_REVLO, code, _pack_ints(rev_lo, code)),
-        (SEC_REVHI, code, _pack_ints(rev_hi, code)),
-        (SEC_REVOWNER, code, _pack_ints(rev_owner, code)),
-        (SEC_REVMAXHI, code, _pack_ints(rev_maxhi, code)),
-    ]
-
-    flags = 0
-    if _int_labels(nodes):
-        flags |= FLAG_INT_LABELS
-        sections.insert(0, (SEC_LABELS, DTYPE_INT64,
-                            _pack_ints(list(nodes), DTYPE_INT64)))
-        top_label = max(nodes) if n else 0
-        if n and top_label <= max(_LUT_FLOOR, 4 * n):
-            flags |= FLAG_HAS_LUT
-            table = [-1] * (top_label + 1)
-            for rank, label in enumerate(nodes):
-                table[label] = rank
-            sections.append((SEC_LUT, DTYPE_INT64,
-                             _pack_ints(table, DTYPE_INT64)))
-    else:
-        blob = json.dumps(list(nodes), separators=(",", ":")).encode("utf-8")
-        sections.insert(0, (SEC_LABELS, DTYPE_BLOB, blob))
-    return sections, flags
-
-
 def rtcf_bytes(frozen: FrozenTCIndex) -> bytes:
     """Serialise a frozen engine into one deterministic RTCF byte string.
 
-    Works from either buffer backend; the derived sections (keyed lows,
-    reverse index, lookup table) are recomputed with the exact recipe
-    ``FrozenTCIndex`` uses at freeze time, so a numpy- and an
-    array-backed view of the same index produce identical files.
+    The derived sections (keyed lows, reverse index, lookup table) are
+    recomputed with the exact recipe ``FrozenTCIndex`` uses at freeze
+    time, so a live and a reloaded view of the same index produce
+    identical files.
     """
     buffers = frozen.to_buffers()
     nodes = buffers["nodes"]
@@ -290,15 +227,9 @@ def rtcf_bytes(frozen: FrozenTCIndex) -> bytes:
                 "RTCF stores fixed-width integer postorder numbers; "
                 "serialise fractional-numbered indexes with the JSON "
                 "format instead (save_frozen_index(..., format='json'))")
-    np = _numpy()
-    if np is not None:
-        sections, flags = _derive_sections_numpy(
-            nodes, numbers, buffers["offsets"], buffers["lows"],
-            buffers["highs"], np)
-    else:
-        sections, flags = _derive_sections_stdlib(
-            nodes, numbers, buffers["offsets"], buffers["lows"],
-            buffers["highs"])
+    sections, flags = _derive_sections(
+        nodes, numbers, buffers["offsets"], buffers["lows"],
+        buffers["highs"])
     return _assemble(sections, flags, num_nodes=len(nodes),
                      num_intervals=len(buffers["lows"]),
                      epoch=buffers.get("epoch", 0))
@@ -356,7 +287,7 @@ class _ParsedHeader:
 
 
 def _parse_header(path: PathLike, handle) -> _ParsedHeader:
-    """Structural validation: magic, version, header CRC, bounds.
+    """Structural validation: magic, version, header CRC, bounds, dtypes.
 
     Reads only the header and section table — a few hundred bytes — so
     opening stays O(1) regardless of index size.  Every failure mode
@@ -405,28 +336,39 @@ def _parse_header(path: PathLike, handle) -> _ParsedHeader:
             raise CorruptFileError(
                 path, f"missing section {SECTION_NAMES[required]}")
 
+    if flags & FLAG_HAS_LUT and SEC_LUT not in sections:
+        raise CorruptFileError(path, "lookup table flagged but missing")
+
+    # The loader adopts each section with the dtype its entry names, so a
+    # retagged section would silently reinterpret its bytes: pin them.
+    wanted_codes = {SEC_NUMBERS: DTYPE_INT64, SEC_OFFSETS: DTYPE_INT64,
+                    SEC_LABELS: (DTYPE_INT64 if flags & FLAG_INT_LABELS
+                                 else DTYPE_BLOB)}
+    if flags & FLAG_HAS_LUT:
+        wanted_codes[SEC_LUT] = DTYPE_INT64
+    for section_id, want in wanted_codes.items():
+        if sections[section_id][0] != want:
+            raise CorruptFileError(
+                path, f"section {SECTION_NAMES[section_id]} has dtype code "
+                      f"{sections[section_id][0]}, expected {want}")
+    interval_codes = {sections[section_id][0]
+                      for section_id in _INTERVAL_SECTIONS}
+    if len(interval_codes) != 1 or DTYPE_BLOB in interval_codes:
+        raise CorruptFileError(
+            path, "interval sections must share one int32/int64 dtype code")
+
     n, m = num_nodes, num_intervals
-    expected = {
-        SEC_NUMBERS: n * 8,
-        SEC_OFFSETS: (n + 1) * 8,
-        SEC_LOWS: m, SEC_HIGHS: m, SEC_LOKEYED: m,
-        SEC_REVLO: m, SEC_REVHI: m, SEC_REVOWNER: m, SEC_REVMAXHI: m,
-    }
+    unit = _DTYPE_SIZES[interval_codes.pop()]
+    expected = {SEC_NUMBERS: n * 8, SEC_OFFSETS: (n + 1) * 8}
+    if flags & FLAG_INT_LABELS:
+        expected[SEC_LABELS] = n * 8
+    for section_id in _INTERVAL_SECTIONS:
+        expected[section_id] = m * unit
     for section_id, want in expected.items():
-        dtype_code, _, nbytes, _ = sections[section_id]
-        unit = _DTYPE_SIZES.get(dtype_code)
-        if unit is None or nbytes != want * (unit if section_id not in
-                                            (SEC_NUMBERS, SEC_OFFSETS)
-                                            else 1):
+        if sections[section_id][2] != want:
             raise CorruptFileError(
                 path, f"section {SECTION_NAMES[section_id]} size "
                       f"inconsistent with header counts")
-    if flags & FLAG_INT_LABELS:
-        if sections[SEC_LABELS][0] != DTYPE_INT64 \
-                or sections[SEC_LABELS][2] != n * 8:
-            raise CorruptFileError(path, "label section size inconsistent")
-    if flags & FLAG_HAS_LUT and SEC_LUT not in sections:
-        raise CorruptFileError(path, "lookup table flagged but missing")
     return _ParsedHeader(flags, num_nodes, num_intervals, epoch, sections)
 
 
@@ -481,37 +423,18 @@ def _np_section(np, data, header: _ParsedHeader, section_id: int):
     return np.frombuffer(data, dtype=dtype, count=count, offset=offset)
 
 
-def _list_section(data, header: _ParsedHeader, section_id: int) -> list:
-    from array import array
-    dtype_code, offset, nbytes, _ = header.sections[section_id]
-    typecode = _DTYPE_CODES[dtype_code]
-    values = array(typecode)
-    values.frombytes(bytes(data[offset:offset + nbytes]))
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        values.byteswap()
-    return values.tolist()
-
-
-def _labels_from(data, header: _ParsedHeader, *, as_list: bool):
-    dtype_code, offset, nbytes, _ = header.sections[SEC_LABELS]
-    if header.flags & FLAG_INT_LABELS:
-        if as_list:
-            return _list_section(data, header, SEC_LABELS)
-        return None  # mapped path keeps the raw array instead
+def _json_labels(path: PathLike, data, header: _ParsedHeader) -> list:
+    """Decode the label blob of a file whose labels are not all ints."""
+    _, offset, nbytes, _ = header.sections[SEC_LABELS]
     blob = bytes(data[offset:offset + nbytes])
     try:
         labels = json.loads(blob.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
         raise CorruptFileError(
-            header_path(data), f"label blob does not decode: {error}"
-        ) from error
+            path, f"label blob does not decode: {error}") from error
     if not isinstance(labels, list):
-        raise CorruptFileError(header_path(data), "label blob is not a list")
+        raise CorruptFileError(path, "label blob is not a list")
     return labels
-
-
-def header_path(data) -> str:  # pragma: no cover - diagnostic fallback
-    return getattr(data, "name", "<rtcf>")
 
 
 class MappedFrozenTCIndex(FrozenTCIndex):
@@ -534,7 +457,6 @@ class MappedFrozenTCIndex(FrozenTCIndex):
                  labels_blob_nodes: Optional[list]) -> None:
         # Deliberately does NOT call FrozenTCIndex.__init__: buffers are
         # adopted from the map instead of copied and re-derived.
-        self._backend = "numpy"
         self._mm = mm
         self._path = path
         self._header = header
@@ -622,53 +544,26 @@ class MappedFrozenTCIndex(FrozenTCIndex):
                 f"intervals={self.num_intervals}, path={self._path!r})")
 
 
-def load_rtcf(path: PathLike, *, backend: Optional[str] = None,
-              verify: bool = False) -> FrozenTCIndex:
-    """Open an RTCF file; zero-copy via ``mmap`` when numpy serves.
+def load_rtcf(path: PathLike, *, verify: bool = False) -> FrozenTCIndex:
+    """Open an RTCF file zero-copy: ``mmap`` plus ``numpy.frombuffer``.
 
-    With the numpy backend (the default when installed) the returned
-    view adopts the mapped pages directly — O(1) open, shared across
-    processes.  ``backend="array"`` (or a numpy-free interpreter) falls
-    back to reading the core sections and rehydrating through
-    :meth:`FrozenTCIndex.from_buffers` — correct, just not zero-copy.
+    The returned :class:`MappedFrozenTCIndex` adopts the mapped pages
+    directly — O(1) open, one physical copy shared across processes.
 
     ``verify=True`` additionally CRC-checks every section payload
     (reads the whole file); structural validation (magic, version,
-    header checksum, section bounds) always runs.
+    header checksum, section bounds, dtypes and sizes) always runs.
     """
-    resolved = _resolve_backend(backend)
-    handle = open(path, "rb")
-    try:
+    with open(path, "rb") as handle:
         header = _parse_header(path, handle)
-        if resolved == "numpy":
-            np = _numpy()
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            if verify:
-                _verify_sections(path, header, mapped)
-            labels = (None if header.flags & FLAG_INT_LABELS
-                      else _labels_from(mapped, header, as_list=True))
-            try:
-                return MappedFrozenTCIndex(
-                    mm=mapped, path=str(path), header=header,
-                    np=np, labels_blob_nodes=labels)
-            except Exception:
-                mapped.close()
-                raise
-        handle.seek(0)
-        data = handle.read()
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
         if verify:
-            _verify_sections(path, header, data)
-        nodes = _labels_from(data, header, as_list=True)
-        try:
-            return FrozenTCIndex.from_buffers(
-                nodes=nodes,
-                numbers=_list_section(data, header, SEC_NUMBERS),
-                offsets=_list_section(data, header, SEC_OFFSETS),
-                lows=_list_section(data, header, SEC_LOWS),
-                highs=_list_section(data, header, SEC_HIGHS),
-                backend=resolved, epoch=header.epoch)
-        except ReproError as error:
-            raise CorruptFileError(
-                path, f"sections do not assemble ({error})") from error
-    finally:
-        handle.close()
+            _verify_sections(path, header, mapped)
+        labels = (None if header.flags & FLAG_INT_LABELS
+                  else _json_labels(path, mapped, header))
+        return MappedFrozenTCIndex(mm=mapped, path=str(path), header=header,
+                                   np=_numpy(), labels_blob_nodes=labels)
+    except Exception:
+        mapped.close()
+        raise

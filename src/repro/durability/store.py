@@ -37,7 +37,7 @@ from repro.core.index import DEFAULT_GAP
 from repro.durability import checkpoint as _checkpoint
 from repro.durability import wal as _wal
 from repro.durability.atomic import REAL_FS, RealFS, atomic_write_bytes
-from repro.durability.recovery import RecoveryReport, recover
+from repro.durability.recovery import RecoveryReport, empty_engine, recover
 from repro.errors import CorruptFileError, PersistenceError, ReproError
 from repro.graph.digraph import Node
 from repro.obs.instrument import instrumented
@@ -92,7 +92,7 @@ class DurableTCIndex:
     def open(cls, directory, *, engine: str = "interval",
              gap: int = DEFAULT_GAP, numbering: str = "integer",
              fsync_every: int = 1, keep_checkpoints: int = 2,
-             backend: Optional[str] = None, create: bool = True,
+             create: bool = True,
              fs: Optional[RealFS] = None, metrics=None,
              tracer=None) -> "DurableTCIndex":
         """Open a store directory, creating or recovering as needed.
@@ -115,7 +115,6 @@ class DurableTCIndex:
         self._directory = str(directory)
         self._fsync_every = fsync_every
         self._keep_checkpoints = keep_checkpoints
-        self._backend = backend
         self._writer: Optional[_wal.WalWriter] = None
         self._closed = False
         self._obs = None
@@ -149,24 +148,14 @@ class DurableTCIndex:
     # ------------------------------------------------------------------
     # open paths
     # ------------------------------------------------------------------
-    def _empty_engine(self):
-        from repro.core.hybrid import HybridTCIndex
-        from repro.core.index import IntervalTCIndex
-        from repro.graph.digraph import DiGraph
-        config = self._config
-        if config["engine"] == "hybrid":
-            return HybridTCIndex.build(DiGraph(), gap=config["gap"],
-                                       numbering=config["numbering"],
-                                       backend=self._backend)
-        return IntervalTCIndex.build(DiGraph(), gap=config["gap"],
-                                     numbering=config["numbering"])
-
     def _initialise(self) -> None:
         """Fresh store: config, checkpoint 0, empty first log segment."""
         atomic_write_bytes(os.path.join(self._directory, CONFIG_NAME),
                            json.dumps(self._config, indent=2).encode("utf-8"),
                            fs=self._fs, label="config")
-        self._engine = self._empty_engine()
+        config = self._config
+        self._engine = empty_engine(config["engine"], gap=config["gap"],
+                                    numbering=config["numbering"])
         _checkpoint.write_checkpoint(self._directory, self._engine, 0,
                                      fs=self._fs)
         self._report = None
@@ -180,8 +169,7 @@ class DurableTCIndex:
         started = time.perf_counter_ns()
         self._engine, report = recover(
             self._directory, engine_kind=config["engine"],
-            gap=config["gap"], numbering=config["numbering"],
-            backend=self._backend)
+            gap=config["gap"], numbering=config["numbering"])
         self._recovery_ns = time.perf_counter_ns() - started
         self._report = report
         next_seq = report.last_seq + 1

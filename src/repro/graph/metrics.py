@@ -40,7 +40,7 @@ def width_by_levels(graph: DiGraph) -> int:
 
     The true width (maximum antichain) equals the Dilworth chain count,
     available precisely via
-    :func:`repro.baselines.chain_cover.optimal_chain_decomposition`; the
+    :func:`repro.core.chain_cover.optimal_chain_decomposition`; the
     level histogram is the O(n + m) approximation used in reports.
     """
     levels = level_of(graph)

@@ -173,8 +173,8 @@ def _build_inverse(graph: DiGraph):
 
 
 def _build_chain(graph: DiGraph):
-    from repro.baselines import ChainTCIndex
-    return ChainTCIndex.build(graph, "greedy")
+    from repro.core.chain_cover import ChainCoverIndex
+    return ChainCoverIndex.build(graph, "greedy")
 
 
 def _build_hoplabel(graph: DiGraph):

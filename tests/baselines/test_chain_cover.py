@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.baselines.chain_cover import (
-    ChainTCIndex,
+from repro.baselines.full_closure import FullTCIndex
+from repro.core.chain_cover import (
+    ChainCoverIndex,
     greedy_chain_decomposition,
     optimal_chain_decomposition,
 )
-from repro.baselines.full_closure import FullTCIndex
 from repro.core.index import IntervalTCIndex
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.digraph import DiGraph
@@ -65,7 +65,7 @@ class TestOptimalDecomposition:
 class TestChainIndexQueries:
     @pytest.mark.parametrize("method", ["greedy", "optimal"])
     def test_matches_ground_truth(self, method, paper_dag):
-        index = ChainTCIndex.build(paper_dag, method)
+        index = ChainCoverIndex.build(paper_dag, method)
         for source in paper_dag:
             assert index.successors(source) == reachable_from(paper_dag, source)
 
@@ -73,7 +73,7 @@ class TestChainIndexQueries:
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graphs(self, method, seed):
         graph = random_dag(35, 2, seed)
-        index = ChainTCIndex.build(graph, method)
+        index = ChainCoverIndex.build(graph, method)
         full = FullTCIndex.build(graph)
         for source in graph:
             for destination in graph:
@@ -81,7 +81,7 @@ class TestChainIndexQueries:
                     full.reachable(source, destination)
 
     def test_unknown_nodes(self, diamond):
-        index = ChainTCIndex.build(diamond)
+        index = ChainCoverIndex.build(diamond)
         with pytest.raises(NodeNotFoundError):
             index.reachable("ghost", "a")
         with pytest.raises(NodeNotFoundError):
@@ -91,7 +91,7 @@ class TestChainIndexQueries:
 
     def test_unknown_method(self, diamond):
         with pytest.raises(GraphError):
-            ChainTCIndex.build(diamond, "sideways")
+            ChainCoverIndex.build(diamond, "sideways")
 
 
 class TestTheorem2:
@@ -100,14 +100,14 @@ class TestTheorem2:
         graph = random_dag(40, 1.5 + (seed % 3), seed)
         intervals = IntervalTCIndex.build(graph, gap=1).num_intervals
         for method in ("greedy", "optimal"):
-            entries = ChainTCIndex.build(graph, method).num_entries
+            entries = ChainCoverIndex.build(graph, method).num_entries
             assert intervals <= entries, (seed, method)
 
     def test_tree_separation(self):
         """Section 5: trees separate the two schemes by a large margin."""
         tree = random_tree(120, 3)
         intervals = IntervalTCIndex.build(tree, gap=1).num_intervals
-        entries = ChainTCIndex.build(tree, "optimal").num_entries
+        entries = ChainCoverIndex.build(tree, "optimal").num_entries
         assert intervals == 120
         assert entries > intervals
 
@@ -115,13 +115,13 @@ class TestTheorem2:
         """On a single path both schemes cost one record per node."""
         graph = path_graph(10)
         intervals = IntervalTCIndex.build(graph, gap=1).num_intervals
-        entries = ChainTCIndex.build(graph, "greedy").num_entries
+        entries = ChainCoverIndex.build(graph, "greedy").num_entries
         assert intervals == entries == 10
 
 
 class TestStorageAccounting:
     def test_entries_count(self, chain5):
-        index = ChainTCIndex.build(chain5, "greedy")
+        index = ChainCoverIndex.build(chain5, "greedy")
         assert index.num_chains == 1
         assert index.num_entries == 5          # one own-position entry per node
         assert index.storage_units == 10

@@ -1,10 +1,10 @@
 """ChainCoverIndex as a first-class engine, plus Dilworth properties.
 
 The decomposition algorithms themselves are covered by
-``tests/baselines/test_chain_cover.py`` (which now exercises the same
-class through its historical ``ChainTCIndex`` name); this file covers
-what the promotion added: the full TCEngine surface, serialization, the
-width sandwich on seeded DAGs, and observability.
+``tests/baselines/test_chain_cover.py`` (the same class is still
+exported as the ``repro.baselines.ChainTCIndex`` baseline); this file
+covers what the promotion added: the full TCEngine surface,
+serialization, the width sandwich on seeded DAGs, and observability.
 """
 
 import random
@@ -125,5 +125,5 @@ class TestObservability:
 
 class TestBaselineAlias:
     def test_historical_name_is_the_engine(self):
-        from repro.baselines.chain_cover import ChainTCIndex
+        from repro.baselines import ChainTCIndex
         assert ChainTCIndex is ChainCoverIndex

@@ -7,16 +7,20 @@ required to raise the typed :class:`~repro.errors.CorruptFileError`
 diagnosis — never a silently wrong index.
 """
 
+import hashlib
 import json
 import os
 import random
+import zlib
 
 import pytest
 
-from repro.core.frozen import FrozenTCIndex, default_backend
+from repro.core.frozen import FrozenTCIndex
 from repro.core.index import IntervalTCIndex
-from repro.core.rtcf import (MAGIC, MappedFrozenTCIndex, load_rtcf,
-                             rtcf_bytes, save_rtcf, sniff_rtcf, verify_rtcf)
+from repro.core.rtcf import (_HEADER, _SECTION, DTYPE_BLOB, DTYPE_INT32,
+                             DTYPE_INT64, MAGIC, SECTION_NAMES,
+                             MappedFrozenTCIndex, load_rtcf, rtcf_bytes,
+                             save_rtcf, sniff_rtcf, verify_rtcf)
 from repro.core.serialize import save_frozen_index
 from repro.errors import (CorruptFileError, IndexStateError,
                           NodeNotFoundError, ReproError)
@@ -24,8 +28,6 @@ from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.testing.faults import flip_byte
-
-HAVE_NUMPY = default_backend() == "numpy"
 
 
 def small_graph() -> DiGraph:
@@ -68,17 +70,19 @@ class TestRoundTrip:
         save_frozen_index(load_rtcf(path), second, format="rtcf")
         assert open(second, "rb").read() == blob
 
-    def test_backends_write_identical_bytes(self, tmp_path):
-        graph = int_graph(60)
-        numpy_view = IntervalTCIndex.build(graph).freeze(backend=None)
-        array_view = IntervalTCIndex.build(graph).freeze(backend="array")
-        assert rtcf_bytes(numpy_view) == rtcf_bytes(array_view)
-
-    def test_array_backend_load(self, tmp_path):
-        path, frozen = saved(tmp_path, small_graph())
-        rehydrated = load_rtcf(path, backend="array")
-        assert not isinstance(rehydrated, MappedFrozenTCIndex)
-        assert rehydrated.successors("a") == frozen.successors("a")
+    @pytest.mark.parametrize("graph_factory,digest", [
+        (small_graph, "94690a5966fdeaa2bf59517be0c05777"
+                      "244b3b0875279c30f4e85620320b30b0"),
+        (lambda: int_graph(60), "8a0df7aa72cf679d285c2c8bd20467d7"
+                                "14bf93d82e7a275e256229474961439f"),
+        (lambda: int_graph(120), "d922c7269e7a69240cdbf3cc3349c86d"
+                                 "bf931eb205a0292050559eb6d22046af"),
+    ], ids=["small_graph", "int_graph-60", "int_graph-120"])
+    def test_bytes_match_golden_digests(self, graph_factory, digest):
+        """The on-disk format is pinned: any change to section layout,
+        dtype choice or derived-array recipe shows up here."""
+        frozen = IntervalTCIndex.build(graph_factory()).freeze()
+        assert hashlib.sha256(rtcf_bytes(frozen)).hexdigest() == digest
 
     def test_empty_index(self, tmp_path):
         path, frozen = saved(tmp_path, DiGraph())
@@ -108,7 +112,6 @@ class TestRoundTrip:
             save_frozen_index(frozen, str(tmp_path / "x.bin"), format="cbor")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="zero-copy path needs numpy")
 class TestMappedView:
     def test_open_index_routes_by_magic_and_extension(self, tmp_path):
         path, frozen = saved(tmp_path, small_graph())
@@ -212,8 +215,44 @@ def _section_boundaries(path):
     return sorted(cut for cut in boundaries if cut < size)
 
 
+def _retag(path, section_name, dtype_code):
+    """Rewrite one section's dtype code and re-seal the header CRC, as
+    a writer with the wrong dtype would have produced the file."""
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    fields = list(_HEADER.unpack_from(blob))
+    section_count = fields[6]
+    for position in range(section_count):
+        at = _HEADER.size + position * _SECTION.size
+        entry = list(_SECTION.unpack_from(blob, at))
+        if SECTION_NAMES[entry[0]] == section_name:
+            entry[1] = dtype_code
+            _SECTION.pack_into(blob, at, *entry)
+    table_end = _HEADER.size + section_count * _SECTION.size
+    fields[7] = 0
+    fields[7] = zlib.crc32(_HEADER.pack(*fields)
+                           + bytes(blob[_HEADER.size:table_end]))
+    _HEADER.pack_into(blob, 0, *fields)
+    with open(path, "wb") as handle:
+        handle.write(blob)
+
+
 class TestCorruption:
     """Damage must produce a typed diagnosis, never a wrong answer."""
+
+    @pytest.mark.parametrize("section,dtype_code", [
+        ("offsets", DTYPE_INT32), ("numbers", DTYPE_INT32),
+        ("labels", DTYPE_INT32), ("lut", DTYPE_INT32),
+        ("lows", DTYPE_INT64), ("rev_owner", DTYPE_BLOB)])
+    def test_retagged_section_dtype(self, tmp_path, section, dtype_code):
+        """A dtype code the loader would trust reinterprets the bytes:
+        the header CRC is valid, so the dtype check must catch it."""
+        path, _ = saved(tmp_path, int_graph(40, seed=3))
+        _retag(path, section, dtype_code)
+        with pytest.raises(CorruptFileError, match="dtype code"):
+            load_rtcf(path)
+        with pytest.raises(CorruptFileError):
+            load_rtcf(path, verify=True)
 
     def test_truncation_at_every_section_boundary(self, tmp_path):
         path, _ = saved(tmp_path, int_graph(40, seed=3))

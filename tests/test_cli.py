@@ -96,12 +96,6 @@ class TestFrozenEngine:
         assert main(["predecessors", target, "d"]) == 0
         assert capsys.readouterr().out.split() == ["a", "b", "c"]
 
-    def test_freeze_array_backend(self, edges_file, tmp_path, capsys):
-        target = str(tmp_path / "frozen.json")
-        assert main(["freeze", edges_file, "-o", target,
-                     "--backend", "array"]) == 0
-        assert "array" in capsys.readouterr().out
-
     def test_freeze_saved_index(self, edges_file, tmp_path, capsys):
         closure = str(tmp_path / "closure.json")
         frozen = str(tmp_path / "frozen.json")

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.chain_cover import optimal_chain_decomposition
+from repro.core.chain_cover import optimal_chain_decomposition
 from repro.core.index import IntervalTCIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag

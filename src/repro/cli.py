@@ -134,8 +134,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
               f"(checkpoint {checkpoint_path})")
         return 0
     index = IntervalTCIndex.build(graph, policy=args.policy, gap=args.gap,
-                                  merge=args.merge,
-                                  propagation=args.propagation)
+                                  merge=args.merge)
     if args.output:
         save_index(index, args.output)
     stats = index.stats()
@@ -692,13 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--gap", type=int, default=DEFAULT_GAP)
     build.add_argument("--merge", action="store_true",
                        help="apply adjacent-interval merging")
-    build.add_argument("--propagation",
-                       choices=("python", "vectorized", "parallel"),
-                       default="python",
-                       help="interval-propagation kernel: the sequential "
-                            "reference pass, the numpy level kernel, or "
-                            "the multiprocessing level-parallel mode "
-                            "(identical output; file output only)")
     build.add_argument(
         "--durable", metavar="PATH", default=None,
         help="instead of a JSON file, create a crash-safe durable store "

@@ -31,7 +31,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 
 from repro.core import updates as _updates
 from repro.core.intervals import Interval, IntervalSet
-from repro.core.labeling import Labeling, assign_postorder, merge_all, propagate_intervals
+from repro.core.labeling import Labeling, assign_postorder, merge_all
 from repro.core.tree_cover import TreeCover, build_tree_cover
 from repro.errors import IndexStateError, NodeNotFoundError
 from repro.graph.digraph import DiGraph, Node
@@ -151,7 +151,6 @@ class IntervalTCIndex:
               merge: bool = False, merge_ordering: bool = False,
               auto_renumber: bool = True,
               renumber_strategy: str = "global", numbering: str = "integer",
-              propagation: str = "python",
               rng: Union[random.Random, int, None] = None) -> "IntervalTCIndex":
         """Compute the compressed closure of an acyclic ``graph``.
 
@@ -163,22 +162,19 @@ class IntervalTCIndex:
         tree siblings by the affinity heuristic so more intervals abut
         (see :mod:`repro.core.merge_ordering` — the paper leaves the
         optimal ordering open as "a combinatorial problem").
-        ``propagation`` selects the interval-propagation kernel:
-        ``"python"`` (the sequential reference pass), ``"vectorized"``
-        (the numpy level kernel — same labeling, much faster on large
-        graphs), or ``"parallel"`` (adds a multiprocessing fan-out for
-        wide levels); see :mod:`repro.core.propagation`.  Raises
+        Propagation runs the numpy level kernel of
+        :mod:`repro.core.propagation`.  Raises
         :class:`repro.errors.CycleError` on cyclic input — wrap cyclic
         graphs with :class:`repro.core.condensation.CondensedIndex`
         instead.
         """
-        from repro.core.propagation import run_propagation
+        from repro.core import propagation
         cover = build_tree_cover(graph, policy, rng=rng)
         if merge_ordering:
             from repro.core.merge_ordering import order_children_for_merging
             order_children_for_merging(graph, cover)
         labeling = assign_postorder(cover, gap)
-        run_propagation(graph, cover, labeling, propagation)
+        propagation.run_propagation(graph, cover.order, labeling)
         if merge:
             merge_all(labeling)
         return cls(graph, cover, labeling, policy=policy, merged=merge,

@@ -24,7 +24,7 @@ rely on this, and the property tests assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.core.intervals import Interval, IntervalSet
@@ -63,26 +63,22 @@ class Labeling:
         return 2 * self.total_intervals
 
 
-def assign_postorder(cover: TreeCover, gap: int = 1) -> Labeling:
-    """Number the tree cover in postorder and compute tree intervals.
+def postorder_intervals(cover: TreeCover, root: Node, gap: int,
+                        base: int = 0) -> Iterator[Tuple[Node, Interval]]:
+    """Yield ``(node, tree interval)`` for the subtree of ``root`` in postorder.
 
-    The virtual root itself receives no number (the paper pins it at
-    "+infinity"); its children are the roots of the forest and are numbered
-    left to right in the deterministic child order of the cover.
-
-    The returned :class:`Labeling` has interval sets holding only the tree
-    intervals; run :func:`propagate_intervals` to add the non-tree ones.
+    The ``k``-th node visited gets the number ``base + k * gap``; its
+    interval starts just above the number of the last node visited
+    before its subtree was entered.  The virtual root is walked but not
+    yielded.  :func:`assign_postorder` numbers the whole cover with
+    ``base = 0``; deleting a tree arc renumbers the orphaned subtree above
+    the current maximum number.
     """
-    if gap < 1:
-        raise GraphError(f"gap must be >= 1, got {gap}")
-    postorder: Dict[Node, int] = {}
-    tree_interval: Dict[Node, Interval] = {}
     counter = 0
-
     # Iterative postorder over the spanning tree, tracking for every node
     # the counter value *before* its subtree was entered: the first node
     # visited in the subtree gets counter+1, which fixes the interval lo.
-    stack: List[tuple] = [(VIRTUAL_ROOT, iter(cover.tree_children(VIRTUAL_ROOT)), counter)]
+    stack: List[tuple] = [(root, iter(cover.tree_children(root)), counter)]
     while stack:
         node, kids, counter_at_entry = stack[-1]
         advanced = False
@@ -96,52 +92,68 @@ def assign_postorder(cover: TreeCover, gap: int = 1) -> Labeling:
         if node is VIRTUAL_ROOT:
             continue
         counter += 1
-        number = counter * gap
-        lo = counter_at_entry * gap + 1
-        postorder[node] = number
-        tree_interval[node] = Interval(lo, number)
+        yield node, Interval(base + counter_at_entry * gap + 1,
+                             base + counter * gap)
+
+
+def assign_postorder(cover: TreeCover, gap: int = 1) -> Labeling:
+    """Number the tree cover in postorder and compute tree intervals.
+
+    The virtual root itself receives no number (the paper pins it at
+    "+infinity"); its children are the roots of the forest and are numbered
+    left to right in the deterministic child order of the cover.
+
+    The returned :class:`Labeling` has interval sets holding only the tree
+    intervals; run :func:`repro.core.propagation.run_propagation` to add
+    the non-tree ones.
+    """
+    if gap < 1:
+        raise GraphError(f"gap must be >= 1, got {gap}")
+    postorder: Dict[Node, int] = {}
+    tree_interval: Dict[Node, Interval] = {}
+    for node, interval in postorder_intervals(cover, VIRTUAL_ROOT, gap):
+        postorder[node] = interval.hi
+        tree_interval[node] = interval
 
     intervals = {node: IntervalSet([tree_interval[node]]) for node in postorder}
     return Labeling(postorder=postorder, tree_interval=tree_interval,
                     intervals=intervals, gap=gap)
 
 
-def propagate_intervals(graph: DiGraph, cover: TreeCover, labeling: Labeling) -> None:
+def propagate_intervals(graph: DiGraph, order: Sequence[Node],
+                        labeling: Labeling) -> None:
     """Second pass of Section 3.2: propagate intervals along all arcs.
 
-    Visits the nodes of ``graph`` in reverse topological order (the
-    cover retains the order it was built from) and, for every arc
+    The sequential reference pass.  Visits the nodes of ``graph`` in
+    reverse of the topological ``order`` and, for every arc
     ``(p, q)``, adds all of ``q``'s intervals to ``p``'s set with
     subsumption elimination.  Tree children contribute nothing new — their
     tree intervals nest inside ``p``'s — so only non-tree arcs generate
     surviving intervals, exactly as Lemma 4 describes.
 
-    Mutates ``labeling.intervals`` in place.
+    Mutates ``labeling.intervals`` in place, adding to the sets it
+    holds.  Production code runs the equivalent numpy kernel,
+    :func:`repro.core.propagation.run_propagation`, which falls back to
+    this pass only for numberings the kernel cannot hold.
     """
     intervals = labeling.intervals
-    for p in reversed(cover.order):
+    for p in reversed(order):
         own = intervals[p]
         for q in graph.successors(p):
             own.add_all(intervals[q])
 
 
 def label_graph(graph: DiGraph, cover: TreeCover, gap: int = 1, *,
-                merge: bool = False, propagation: str = "python") -> Labeling:
+                merge: bool = False) -> Labeling:
     """Produce the full compressed-closure labeling for ``graph``.
 
-    Convenience wrapper: postorder numbering, interval propagation, and
-    (optionally) the adjacent/overlapping interval merging post-pass.
-    ``propagation`` picks the propagation kernel (``"python"``,
-    ``"vectorized"``, or ``"parallel"`` — see
-    :mod:`repro.core.propagation`); every mode yields the identical
-    labeling.
+    Convenience wrapper: postorder numbering, interval propagation
+    (:func:`repro.core.propagation.run_propagation`), and (optionally)
+    the adjacent/overlapping interval merging post-pass.
     """
+    from repro.core.propagation import run_propagation
     labeling = assign_postorder(cover, gap)
-    if propagation == "python":
-        propagate_intervals(graph, cover, labeling)
-    else:
-        from repro.core.propagation import run_propagation
-        run_propagation(graph, cover, labeling, propagation)
+    run_propagation(graph, cover.order, labeling)
     if merge:
         merge_all(labeling)
     return labeling

@@ -11,17 +11,22 @@ The paper's update algorithms avoid recomputing the whole closure:
   cut-off, which makes "hierarchy refinement" insertions effectively
   constant-time.
 * **Running out of numbers** triggers renumbering.  We renumber the whole
-  tree cover in one O(n + closure) pass (the paper also sketches a local
-  shift; the global pass has the same worst case and is simpler to keep
-  correct).
+  tree cover with the build's own numbering pass
+  (:func:`~repro.core.labeling.assign_postorder`), then recompute the
+  non-tree intervals — O(n + closure); the paper also sketches a local
+  shift (:func:`make_room`).
 * **Deleting a tree arc** re-hangs the orphaned subtree under the virtual
   root with fresh numbers beyond the current maximum, then recomputes the
-  non-tree intervals in one reverse-topological pass.  The paper instead
-  patches old numbers to new in place; both are O(n + closure) in the
-  worst case, and the recompute is immune to representation drift.
+  non-tree intervals.  The paper instead patches old numbers to new in
+  place; both are O(n + closure) in the worst case, and the recompute is
+  immune to representation drift.
 * **Deleting a non-tree arc** keeps the spanning tree and numbering and
-  recomputes non-tree intervals in one reverse-topological pass — exactly
-  the paper's procedure.
+  recomputes the non-tree intervals — exactly the paper's procedure.
+
+Every recompute is the build's own propagation pass
+(:func:`repro.core.propagation.run_propagation`) over a fresh topological
+order of the current graph, followed by interval merging when the index
+merges.
 
 Free-number bookkeeping relies on the laminar-family property of tree
 intervals: the numbers available under a parent are its tree interval
@@ -37,9 +42,12 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import Interval, IntervalSet
+from repro.core.labeling import (Labeling, assign_postorder, merge_all,
+                                 postorder_intervals)
+from repro.core.propagation import run_propagation
 from repro.core.tree_cover import VIRTUAL_ROOT
 from repro.errors import (
     ArcNotFoundError,
@@ -305,34 +313,15 @@ def detach_subtree(index: "IntervalTCIndex", root: Node) -> None:
     index.cover.parent[root] = VIRTUAL_ROOT
     index.cover.children[VIRTUAL_ROOT].append(root)
 
+    # Renumber above the current maximum with the same reservation
+    # scheme as the initial labeling.
     base = index.used_numbers[-1] if index.used_numbers else 0
-    gap = index.gap
-    counter = 0
-    # Iterative postorder over the subtree, assigning base-offset numbers
-    # with the same reservation scheme as the initial labeling.
-    stack: List[tuple] = [(root, iter(index.cover.tree_children(root)), counter)]
-    renumbered: List[Tuple[Node, int, Interval]] = []
-    while stack:
-        node, kids, counter_at_entry = stack[-1]
-        advanced = False
-        for child in kids:
-            stack.append((child, iter(index.cover.tree_children(child)), counter))
-            advanced = True
-            break
-        if advanced:
-            continue
-        stack.pop()
-        counter += 1
-        number = base + counter * gap
-        lo = base + counter_at_entry * gap + 1
-        renumbered.append((node, number, Interval(lo, number)))
-
-    for node, number, interval in renumbered:
-        old_number = index.postorder[node]
-        del index.node_of_number[old_number]
-        index.postorder[node] = number
+    for node, interval in postorder_intervals(index.cover, root, index.gap,
+                                              base):
+        del index.node_of_number[index.postorder[node]]
+        index.postorder[node] = interval.hi
         index.tree_interval[node] = interval
-        index.node_of_number[number] = node
+        index.node_of_number[interval.hi] = node
     index.used_numbers = sorted(index.node_of_number)
 
 
@@ -445,20 +434,18 @@ def make_room(index: "IntervalTCIndex", parent: Node) -> None:
 def recompute_non_tree_intervals(index: "IntervalTCIndex") -> None:
     """Rebuild every node's interval set from the current tree intervals.
 
-    One reverse-topological pass over the current graph (the paper's
-    non-tree deletion procedure).  Re-applies interval merging when the
-    index was built with ``merge=True``.
+    One propagation pass over a fresh topological order of the current
+    graph (the paper's non-tree deletion procedure).  Re-applies interval
+    merging when the index was built with ``merge=True``.
     """
     index._invalidate()
-    order = topological_order(index.graph)
-    intervals: Dict[Node, IntervalSet] = index.intervals
-    for node in reversed(order):
-        fresh = IntervalSet([index.tree_interval[node]])
-        for successor in index.graph.successors(node):
-            fresh.add_all(intervals[successor])
-        if index.merged:
-            fresh = fresh.merged()
-        intervals[node] = fresh
+    labeling = Labeling(postorder=index.postorder,
+                        tree_interval=index.tree_interval,
+                        intervals=index.intervals, gap=index.gap,
+                        node_of_number=index.node_of_number)
+    run_propagation(index.graph, topological_order(index.graph), labeling)
+    if index.merged:
+        merge_all(labeling)
 
 
 def renumber(index: "IntervalTCIndex", gap: Optional[int] = None) -> None:
@@ -469,38 +456,12 @@ def renumber(index: "IntervalTCIndex", gap: Optional[int] = None) -> None:
     one closure propagation — much cheaper than a rebuild, though only a
     rebuild restores Alg1 optimality after many updates.
     """
-    if gap is not None:
-        if gap < 1:
-            raise GraphError(f"gap must be >= 1, got {gap}")
-        index.gap = gap
+    labeling = assign_postorder(index.cover, index.gap if gap is None else gap)
+    index.gap = labeling.gap
     index._invalidate()
     index._renumber_count = getattr(index, "_renumber_count", 0) + 1
-    stride = index.gap
-
-    counter = 0
-    stack: List[tuple] = [
-        (VIRTUAL_ROOT, iter(index.cover.tree_children(VIRTUAL_ROOT)), counter)
-    ]
-    postorder: Dict[Node, int] = {}
-    tree_interval: Dict[Node, Interval] = {}
-    while stack:
-        node, kids, counter_at_entry = stack[-1]
-        advanced = False
-        for child in kids:
-            stack.append((child, iter(index.cover.tree_children(child)), counter))
-            advanced = True
-            break
-        if advanced:
-            continue
-        stack.pop()
-        if node is VIRTUAL_ROOT:
-            continue
-        counter += 1
-        postorder[node] = counter * stride
-        tree_interval[node] = Interval(counter_at_entry * stride + 1, counter * stride)
-
-    index.postorder = postorder
-    index.tree_interval = tree_interval
-    index.node_of_number = {number: node for node, number in postorder.items()}
+    index.postorder = labeling.postorder
+    index.tree_interval = labeling.tree_interval
+    index.node_of_number = labeling.node_of_number
     index.used_numbers = sorted(index.node_of_number)
     recompute_non_tree_intervals(index)

@@ -71,7 +71,7 @@ OP_KINDS = MUTATING_KINDS | {"freeze", "query", "compact"}
 #: every baseline (``hybrid-delta`` rebuilds with a live overlay) + the
 #: label engines (``hoplabel``; ``chain`` rides in via ``baselines``).
 DEFAULT_ENGINES: Tuple[str, ...] = ("frozen", "hybrid", "rebuild",
-                                    "rebuild-merged", "rebuild-vectorized",
+                                    "rebuild-merged", "rebuild-reference",
                                     "rtcf", "baselines", "hybrid-delta",
                                     "hoplabel")
 

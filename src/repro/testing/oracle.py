@@ -230,15 +230,22 @@ def _build_hybrid_delta(graph: DiGraph):
     return hybrid
 
 
-def _build_interval_vectorized(graph: DiGraph):
-    """An index built through the vectorized propagation kernel.
+def _build_interval_reference(graph: DiGraph):
+    """An index labelled by the sequential reference propagation pass.
 
-    Same gap as the plain rebuild, so any divergence between the numpy
-    level sweep and the sequential reference pass shows up as a
-    differential mismatch rather than a silent mislabeling.
+    Every build runs the numpy level kernel; this engine numbers the same
+    cover with :func:`~repro.core.labeling.assign_postorder` and
+    propagates with :func:`~repro.core.labeling.propagate_intervals`, so
+    any divergence between the kernel and the reference pass shows up
+    as a differential mismatch rather than a silent mislabeling.
     """
     from repro.core.index import IntervalTCIndex
-    return IntervalTCIndex.build(graph, gap=1, propagation="vectorized")
+    from repro.core.labeling import assign_postorder, propagate_intervals
+    from repro.core.tree_cover import build_tree_cover
+    cover = build_tree_cover(graph)
+    labeling = assign_postorder(cover, 1)
+    propagate_intervals(graph, cover.order, labeling)
+    return IntervalTCIndex(graph, cover, labeling)
 
 
 def _build_rtcf(graph: DiGraph):
@@ -346,7 +353,7 @@ def _build_cluster(graph: DiGraph):
 ENGINE_FACTORIES: Dict[str, Callable[[DiGraph], object]] = {
     "rebuild": _build_interval,
     "rebuild-merged": _build_interval_merged,
-    "rebuild-vectorized": _build_interval_vectorized,
+    "rebuild-reference": _build_interval_reference,
     "rebuild-frozen": _build_frozen,
     "rtcf": _build_rtcf,
     "full": _build_full,

@@ -126,9 +126,9 @@ class TestPropagation:
     def test_propagation_is_idempotent(self, paper_dag):
         cover = build_tree_cover(paper_dag)
         labeling = assign_postorder(cover)
-        propagate_intervals(paper_dag, cover, labeling)
+        propagate_intervals(paper_dag, cover.order, labeling)
         before = labeling.total_intervals
-        propagate_intervals(paper_dag, cover, labeling)
+        propagate_intervals(paper_dag, cover.order, labeling)
         assert labeling.total_intervals == before
 
 

@@ -96,8 +96,13 @@ def test_gap_violation_under_leaky_free_range_ledger():
     audit_index(index)
 
 
-def test_keep_subsumed_fault_breaks_fresh_builds():
+def test_keep_subsumed_fault_breaks_incremental_insertion():
+    index = _build(PAPER_ARCS)
+    audit_index(index)
     with injected_fault("keep-subsumed"):
-        index = _build(PAPER_ARCS)
-        with pytest.raises(InvariantViolation):
+        # "a" already reaches "g", so every interval the new arc pushes
+        # into "a" is subsumed and must be discarded.
+        index.add_arc("a", "g")
+        with pytest.raises(InvariantViolation) as excinfo:
             audit_index(index)
+    assert excinfo.value.invariant in ("bookkeeping", "subsumption")

@@ -577,28 +577,23 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.obs import MetricsRegistry, QueryTracer
+    from repro.obs import MetricsRegistry
     from repro.server.app import ReachabilityServer
 
+    options = dict(coalesce=not args.no_coalesce,
+                   max_inflight=args.max_inflight,
+                   max_pending_writes=args.max_pending_writes,
+                   shed_retry_after_ms=args.shed_retry_ms,
+                   write_high_water=args.write_high_water,
+                   write_grace=args.write_grace)
+    coalescing = "off" if args.no_coalesce else "on"
+
     async def _run(engine) -> None:
-        tracer = QueryTracer(capacity=args.trace_last) if args.trace else None
-        server = ReachabilityServer(
-            engine,
-            metrics=MetricsRegistry(),
-            tracer=tracer,
-            coalesce=not args.no_coalesce,
-            window=args.window_us / 1_000_000.0,
-            max_batch=args.max_batch,
-            max_inflight=args.max_inflight,
-            max_pending_writes=args.max_pending_writes,
-            shed_retry_after_ms=args.shed_retry_ms,
-            write_high_water=args.write_high_water,
-            write_grace=args.write_grace,
-        )
+        server = ReachabilityServer(engine, metrics=MetricsRegistry(),
+                                    **options)
         host, port = await server.start(args.host, args.port)
         server.install_signal_handlers()
         mode = "read-only" if server.state.read_only else "read-write"
-        coalescing = "off" if args.no_coalesce else "on"
         print(f"serving on {host}:{port} ({mode}, coalescing {coalescing}, "
               f"epoch {server.state.epoch})", flush=True)
         try:
@@ -616,24 +611,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             admin_port=args.metrics_port,
-            coalesce=not args.no_coalesce,
-            window=args.window_us / 1_000_000.0,
-            max_batch=args.max_batch,
             poll_interval=max(args.poll_ms, 0.1) / 1_000.0,
             keep_generations=args.keep_generations,
-            max_inflight=args.max_inflight,
-            max_pending_writes=args.max_pending_writes,
-            shed_retry_after_ms=args.shed_retry_ms,
-            write_high_water=args.write_high_water,
-            write_grace=args.write_grace,
-            ack_timeout=args.ack_timeout,
-            ready_timeout=args.ready_timeout,
-            join_timeout=args.join_timeout,
+            **options,
         )
         # Fork before any event loop exists in this process.
         host, port = cluster.start()
         mode = "read-only" if cluster.state.read_only else "read-write"
-        coalescing = "off" if args.no_coalesce else "on"
 
         async def _serve() -> None:
             admin_host, admin_port = await cluster.start_parent()
@@ -919,19 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answer each check individually instead of "
                             "batching concurrent checks through one "
                             "reachable_many call")
-    serve.add_argument("--window-us", type=float, default=0.0,
-                       help="coalescing gather window, microseconds; 0 "
-                            "(the default) gathers for one scheduler "
-                            "pass, right for request-response clients — "
-                            "set a few hundred for open-loop traffic")
-    serve.add_argument("--max-batch", type=int, default=512,
-                       help="drain a batch early past this many pending "
-                            "checks (default 512)")
-    serve.add_argument("--trace", action="store_true",
-                       help="record per-request span trees (see the "
-                            "'trace' command)")
-    serve.add_argument("--trace-last", type=int, default=64,
-                       help="trace ring-buffer capacity (default 64)")
     serve.add_argument("--workers", type=int, default=0,
                        help="preforked read-worker count; 0 (default) "
                             "serves single-process, N>=1 runs a cluster "
@@ -972,17 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--write-grace", type=float, default=10.0,
                        help="seconds a full send buffer may take to "
                             "drain before the connection is aborted "
-                            "(default 10)")
-    serve.add_argument("--ack-timeout", type=float, default=30.0,
-                       help="cluster: seconds a worker waits for an "
-                            "acked generation to become visible in its "
-                            "mmap (default 30)")
-    serve.add_argument("--ready-timeout", type=float, default=30.0,
-                       help="cluster: seconds to wait for a forked "
-                            "worker to start accepting (default 30)")
-    serve.add_argument("--join-timeout", type=float, default=10.0,
-                       help="cluster: seconds to wait for terminated "
-                            "workers to exit before SIGKILL "
                             "(default 10)")
     serve.set_defaults(handler=_cmd_serve)
 

@@ -48,8 +48,7 @@ the vectorised numpy route for the base portion of each batch.
 Compaction policy: a cost threshold (``max_delta``, deletions weighted by
 ``delete_cost``) and a base-size ratio (``max_ratio``) trigger compaction
 on the mutation that crosses them; :meth:`compact` folds eagerly on
-demand; ``auto_compact_on_query=True`` defers folding to the next query
-instead, which batches the cost under bursty writes.
+demand.
 
 Typical use::
 
@@ -99,8 +98,7 @@ class HybridTCIndex:
     def __init__(self, index: IntervalTCIndex, *,
                  max_delta: int = DEFAULT_MAX_DELTA,
                  max_ratio: float = DEFAULT_MAX_RATIO,
-                 delete_cost: int = DEFAULT_DELETE_COST,
-                 auto_compact_on_query: bool = False) -> None:
+                 delete_cost: int = DEFAULT_DELETE_COST) -> None:
         if max_delta < 1:
             raise ReproError(f"max_delta must be >= 1, got {max_delta}")
         if not max_ratio > 0:
@@ -111,7 +109,6 @@ class HybridTCIndex:
         self._max_delta = max_delta
         self._max_ratio = max_ratio
         self._delete_cost = delete_cost
-        self._auto_compact_on_query = auto_compact_on_query
         self._compactions = 0
         self._obs = None
         self._tracer = None
@@ -127,7 +124,6 @@ class HybridTCIndex:
               max_delta: int = DEFAULT_MAX_DELTA,
               max_ratio: float = DEFAULT_MAX_RATIO,
               delete_cost: int = DEFAULT_DELETE_COST,
-              auto_compact_on_query: bool = False,
               rng: Union[random.Random, int, None] = None,
               **index_kwargs) -> "HybridTCIndex":
         """Compute the compressed closure of ``graph`` and snapshot it.
@@ -139,8 +135,7 @@ class HybridTCIndex:
         index = IntervalTCIndex.build(graph, policy=policy, gap=gap, rng=rng,
                                       **index_kwargs)
         return cls(index, max_delta=max_delta,
-                   max_ratio=max_ratio, delete_cost=delete_cost,
-                   auto_compact_on_query=auto_compact_on_query)
+                   max_ratio=max_ratio, delete_cost=delete_cost)
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple], **kwargs) -> "HybridTCIndex":
@@ -159,8 +154,7 @@ class HybridTCIndex:
                 delta_cost: int, tainted: bool,
                 max_delta: int = DEFAULT_MAX_DELTA,
                 max_ratio: float = DEFAULT_MAX_RATIO,
-                delete_cost: int = DEFAULT_DELETE_COST,
-                auto_compact_on_query: bool = False) -> "HybridTCIndex":
+                delete_cost: int = DEFAULT_DELETE_COST) -> "HybridTCIndex":
         """Adopt persisted state without recompiling the base snapshot.
 
         This is the warm-restart path used by
@@ -173,7 +167,6 @@ class HybridTCIndex:
         self._max_delta = max_delta
         self._max_ratio = max_ratio
         self._delete_cost = delete_cost
-        self._auto_compact_on_query = auto_compact_on_query
         self._compactions = 0
         self._obs = None
         self._tracer = None
@@ -338,7 +331,7 @@ class HybridTCIndex:
         self._expected_epoch = self._index.epoch
         self._delta_memo.clear()
         self._entry_memo.clear()
-        if not self._auto_compact_on_query and self._over_threshold():
+        if self._over_threshold():
             self.compact()
 
     # ------------------------------------------------------------------
@@ -425,18 +418,13 @@ class HybridTCIndex:
         Detects out-of-band mutations (someone updated :attr:`index`
         directly: the epoch moved without the overlay seeing it) and
         taints — the delta log no longer tells the whole story, but the
-        write-through index is still exact.  Under
-        ``auto_compact_on_query`` this is also where deferred folding
-        happens.
+        write-through index is still exact.
         """
         if self._index.epoch != self._expected_epoch:
             self._tainted = True
             self._expected_epoch = self._index.epoch
             self._delta_memo.clear()
             self._entry_memo.clear()
-        if self._auto_compact_on_query and (self._tainted
-                                            or self._over_threshold()):
-            self.compact()
         return self._tainted
 
     def _require(self, node: Node) -> None:
@@ -769,7 +757,6 @@ class HybridTCIndex:
             "threshold": self._threshold(),
             "tainted": self._tainted,
             "compactions": self._compactions,
-            "auto_compact_on_query": self._auto_compact_on_query,
             "base": self._base.stats(),
         }
 
@@ -784,7 +771,6 @@ class HybridTCIndex:
                 "max_delta": self._max_delta,
                 "max_ratio": self._max_ratio,
                 "delete_cost": self._delete_cost,
-                "auto_compact_on_query": self._auto_compact_on_query,
             },
         }
 

@@ -297,7 +297,10 @@ def hybrid_from_dict(document: dict) -> "HybridTCIndex":
     index = index_from_dict(document["index"])
     base = frozen_from_dict(document["base"])
     delta = document["delta"]
-    settings = document.get("settings", {})
+    settings = dict(document.get("settings", {}))
+    # Documents saved before deferred (query-time) compaction was removed
+    # still carry its flag.
+    settings.pop("auto_compact_on_query", None)
     return HybridTCIndex.restore(
         index, base,
         delta_arcs=[(source, destination)

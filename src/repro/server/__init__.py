@@ -13,9 +13,9 @@ a slowly-mutating DAG.
   are served from a pinned immutable frozen snapshot shared lock-free
   across connections; writes route through the hybrid engine behind a
   single-writer task and atomically publish a re-frozen snapshot.
-* :mod:`repro.server.coalesce` — adaptive batch coalescing: concurrent
-  ``check`` calls are gathered for a bounded window (or a size
-  threshold) and answered by one vectorised ``reachable_many`` call.
+* :mod:`repro.server.coalesce` — batch coalescing: concurrent ``check``
+  calls are gathered for one scheduler pass (or up to a size threshold)
+  and answered by one vectorised ``reachable_many`` call.
 * :mod:`repro.server.app` — :class:`ReachabilityServer`, the connection
   handler and op dispatcher.
 * :mod:`repro.server.client` — :class:`ReachabilityClient`, the asyncio

@@ -35,8 +35,7 @@ from repro.errors import CycleError, NodeNotFoundError, ReproError
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
-from repro.server.coalesce import (DEFAULT_MAX_BATCH, DEFAULT_WINDOW,
-                                   EXPIRED, BatchCoalescer)
+from repro.server.coalesce import EXPIRED, BatchCoalescer
 from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
                                    CannedError, FrameParser,
                                    OverloadedError, ProtocolError,
@@ -180,9 +179,7 @@ class ReachabilityServer:
 
     def __init__(self, engine=None, *,
                  state=None, metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, coalesce: bool = True,
-                 window: float = DEFAULT_WINDOW,
-                 max_batch: int = DEFAULT_MAX_BATCH,
+                 coalesce: bool = True,
                  max_frame: int = DEFAULT_MAX_FRAME,
                  allow_shutdown: bool = True,
                  drain_grace: float = 5.0,
@@ -194,15 +191,14 @@ class ReachabilityServer:
         if (engine is None) == (state is None):
             raise ReproError("pass exactly one of engine= or state=")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer
         # ``state=`` injects any ServeState-shaped object — the cluster's
         # WorkerState (mmap snapshot + forwarded writes) plugs in here.
         self.state = state if state is not None else ServeState(
-            engine, metrics=self.metrics, tracer=tracer,
+            engine, metrics=self.metrics,
             max_pending_writes=max_pending_writes)
         self.coalescer = BatchCoalescer(
-            lambda: self.state.snapshot, window=window, max_batch=max_batch,
-            enabled=coalesce, metrics=self.metrics)
+            lambda: self.state.snapshot, enabled=coalesce,
+            metrics=self.metrics)
         self.max_frame = max_frame
         self.allow_shutdown = allow_shutdown
         self.drain_grace = drain_grace
@@ -704,14 +700,8 @@ class ReachabilityServer:
                         request_id: Any, *,
                         deadline: Optional[float] = None) -> dict:
         started = time.perf_counter_ns()
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.span(f"server.{op}", epoch=self.state.epoch):
-                response = await self._dispatch_inner(
-                    op, request, request_id, deadline)
-        else:
-            response = await self._dispatch_inner(op, request, request_id,
-                                                  deadline)
+        response = await self._dispatch_inner(op, request, request_id,
+                                              deadline)
         self._observe(str(op), started)
         return response
 

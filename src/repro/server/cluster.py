@@ -13,15 +13,17 @@ against a zero-copy mmap of the current snapshot generation
   through ``fork`` — same port, kernel accept queue as the balancer.
 * **Publish-before-ack, across processes.**  A mutation reaches a
   worker, is forwarded over a unix socket to the writer, and the writer
-  acks only after the covering generation file is on disk with
-  ``CURRENT`` pointing at it (:class:`PublishingState`).  The worker
-  then re-attaches until its own mmap covers the acked epoch before
-  answering — so after an ack, every later read *on that connection*
-  is served at or above the acked epoch, exactly PR 7's guarantee.
-* **O(1) re-attach.**  Workers poll ``CURRENT`` between requests and
-  swap in the new generation with one mmap; queries in flight keep the
-  old mapping (POSIX keeps unlinked mapped files readable), so garbage
-  collection of stale generations never blocks on readers.
+  acks only after the covering generation file is on disk, ``CURRENT``
+  points at it and the shared epoch word holds its epoch
+  (:class:`PublishingState`).  Every worker checks that word before each
+  read and re-attaches when it is ahead — so a read that starts after an
+  ack, on any connection and any worker, is served at or above the
+  acked epoch.
+* **O(1) re-attach.**  A worker swaps in the new generation with one
+  mmap, when the epoch word moves or its background poll of ``CURRENT``
+  sees a new name; queries in flight keep the old mapping (POSIX keeps
+  unlinked mapped files readable), so garbage collection of stale
+  generations never blocks on readers.
 * **Merged observability.**  Each worker tags every metric series with
   ``worker_id`` and exposes a JSON snapshot on a per-worker admin
   socket; the parent's ``/metrics`` scrapes them all and renders one
@@ -51,7 +53,6 @@ from repro.obs.export import render_prometheus_snapshots
 from repro.obs.metrics import MetricsRegistry
 from repro.server.app import ReachabilityServer
 from repro.server.client import ReachabilityClient
-from repro.server.coalesce import DEFAULT_MAX_BATCH, DEFAULT_WINDOW
 from repro.server.generations import GenerationStore
 from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
                                    ProtocolError)
@@ -59,17 +60,13 @@ from repro.server.state import ServeState, Snapshot
 
 __all__ = ["ClusterServer", "PublishingState", "WorkerState"]
 
-#: Default for how long a worker may wait for an acked generation to
-#: become visible in its own mmap before declaring the cluster wedged.
-#: Tunable per instance (``WorkerState(ack_timeout=...)`` /
-#: ``ClusterServer(ack_timeout=...)`` / ``repro serve --ack-timeout``).
-DEFAULT_ACK_TIMEOUT = 30.0
-#: Default wait for a forked worker to start accepting
-#: (``ClusterServer(ready_timeout=...)`` / ``--ready-timeout``).
-DEFAULT_READY_TIMEOUT = 30.0
-#: Default wait for terminated workers to exit before SIGKILL
-#: (``ClusterServer(join_timeout=...)`` / ``--join-timeout``).
-DEFAULT_JOIN_TIMEOUT = 10.0
+#: How long a worker may wait for an acked generation to become visible
+#: in its own mmap before declaring the cluster wedged.
+_ACK_VISIBILITY_TIMEOUT = 30.0
+#: Wait for a forked worker to start accepting.
+_READY_TIMEOUT = 30.0
+#: Wait for terminated workers to exit before SIGKILL.
+_JOIN_TIMEOUT = 10.0
 
 #: sun_path is 108 bytes on Linux (104 on BSDs); leave headroom for
 #: the ``worker-NN.sock`` suffix.
@@ -132,18 +129,17 @@ class WorkerState:
     """A read-worker's ServeState-shaped view of the cluster.
 
     Queries answer from ``snapshot`` — an mmap of the current
-    generation, refreshed by a background poll of ``CURRENT`` and
-    force-refreshed after every forwarded write ack.  Mutations forward
-    to the writer over its unix socket and ack only once the covering
-    generation is locally visible.
+    generation, refreshed whenever the writer's epoch word is ahead of
+    it, by a background poll of ``CURRENT``, and after every forwarded
+    write ack.  Mutations forward to the writer over its unix socket and
+    ack only once the covering generation is locally visible.
     """
 
     def __init__(self, store: GenerationStore, *, worker_id: int = 0,
                  writer_path: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  poll_interval: float = 0.02,
-                 max_frame: int = DEFAULT_MAX_FRAME,
-                 ack_timeout: float = DEFAULT_ACK_TIMEOUT) -> None:
+                 max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self._store = store
         self.worker_id = worker_id
         self._writer_path = writer_path
@@ -151,13 +147,12 @@ class WorkerState:
             else MetricsRegistry(enabled=False)
         self._poll_interval = poll_interval
         self._max_frame = max_frame
-        self.ack_timeout = float(ack_timeout)
         self._client: Optional[ReachabilityClient] = None
         self._client_lock: Optional[asyncio.Lock] = None
         self._poll_task: Optional[asyncio.Task] = None
         self._closed = False
         epoch, name, engine = store.attach()
-        self.snapshot = Snapshot(epoch, engine)
+        self._snapshot = Snapshot(epoch, engine)
         self.generation = name
         self._reattaches = self._metrics.counter(
             "tc_worker_reattach_total",
@@ -180,6 +175,14 @@ class WorkerState:
     @property
     def epoch(self) -> int:
         return self.snapshot.epoch
+
+    @property
+    def snapshot(self) -> Snapshot:
+        """The served snapshot, re-attached first when the writer has
+        published past it."""
+        if self._store.published_epoch() > self._snapshot.epoch:
+            self._try_refresh()
+        return self._snapshot
 
     def stats(self) -> dict:
         snapshot = self.snapshot
@@ -229,19 +232,22 @@ class WorkerState:
         if current is None or current[1] == self.generation:
             return False
         epoch, name, engine = self._store.attach()
-        self.snapshot = Snapshot(epoch, engine)
+        self._snapshot = Snapshot(epoch, engine)
         self.generation = name
         self._reattaches.inc()
         self._epoch_gauge.set(epoch)
         return True
 
+    def _try_refresh(self) -> None:
+        try:
+            self.refresh()
+        except Exception:  # noqa: BLE001 - the next read or poll retries
+            self._refresh_errors.inc()
+
     async def _poll_loop(self) -> None:
         while not self._closed:
             await asyncio.sleep(self._poll_interval)
-            try:
-                self.refresh()
-            except Exception:  # noqa: BLE001 - keep polling
-                self._refresh_errors.inc()
+            self._try_refresh()
 
     async def _await_epoch(self, epoch: int) -> None:
         """Spin-refresh until the local snapshot covers ``epoch``.
@@ -249,12 +255,10 @@ class WorkerState:
         The writer publishes the generation before acking, so normally
         the very first refresh lands it; the loop only absorbs fs-level
         races."""
-        deadline = asyncio.get_running_loop().time() + self.ack_timeout
+        deadline = (asyncio.get_running_loop().time()
+                    + _ACK_VISIBILITY_TIMEOUT)
         while self.snapshot.epoch < epoch:
-            try:
-                self.refresh()
-            except Exception:  # noqa: BLE001 - retry below
-                self._refresh_errors.inc()
+            self._try_refresh()
             if self.snapshot.epoch >= epoch:
                 return
             if asyncio.get_running_loop().time() >= deadline:
@@ -333,13 +337,13 @@ def _forward_fields(op: str, args: Tuple[Any, ...]) -> dict:
 class _WorkerConfig:
     """Everything a forked worker needs, passed through ``fork`` (no
     pickling: the fork start method hands the child the live objects,
-    which is what lets the no-reuseport fallback ship a socket)."""
+    which is what lets the no-reuseport fallback ship a socket).
+    ``server_options`` are the worker server's keyword arguments, the
+    same dict the parent's server is built from."""
 
     __slots__ = ("worker_id", "root", "keep", "writer_path", "admin_path",
-                 "host", "port", "listen_sock", "coalesce", "window",
-                 "max_batch", "max_frame", "poll_interval", "ack_timeout",
-                 "max_inflight", "shed_retry_after_ms", "write_high_water",
-                 "write_grace")
+                 "host", "port", "listen_sock", "poll_interval",
+                 "server_options")
 
     def __init__(self, **kwargs) -> None:
         for name in self.__slots__:
@@ -369,16 +373,10 @@ async def _worker_async(config: _WorkerConfig, ready) -> None:
                         writer_path=config.writer_path,
                         metrics=registry,
                         poll_interval=config.poll_interval,
-                        max_frame=config.max_frame,
-                        ack_timeout=config.ack_timeout)
-    server = ReachabilityServer(
-        state=state, metrics=registry, coalesce=config.coalesce,
-        window=config.window, max_batch=config.max_batch,
-        max_frame=config.max_frame, allow_shutdown=False,
-        max_inflight=config.max_inflight,
-        shed_retry_after_ms=config.shed_retry_after_ms,
-        write_high_water=config.write_high_water,
-        write_grace=config.write_grace)
+                        max_frame=config.server_options["max_frame"])
+    server = ReachabilityServer(state=state, metrics=registry,
+                                allow_shutdown=False,
+                                **config.server_options)
     if config.listen_sock is not None:
         await server.start(sock=config.listen_sock)
     else:
@@ -447,18 +445,14 @@ class ClusterServer:
     def __init__(self, engine, *, workers: int = 2,
                  snapshot_dir=None, host: str = "127.0.0.1",
                  port: int = 0, admin_port: int = 0,
-                 coalesce: bool = True, window: float = DEFAULT_WINDOW,
-                 max_batch: int = DEFAULT_MAX_BATCH,
+                 coalesce: bool = True,
                  max_frame: int = DEFAULT_MAX_FRAME,
                  poll_interval: float = 0.02, keep_generations: int = 2,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None,
                  max_inflight: int = 0, max_pending_writes: int = 0,
                  shed_retry_after_ms: int = 50,
-                 write_high_water: int = 0, write_grace: float = 10.0,
-                 ack_timeout: float = DEFAULT_ACK_TIMEOUT,
-                 ready_timeout: float = DEFAULT_READY_TIMEOUT,
-                 join_timeout: float = DEFAULT_JOIN_TIMEOUT) -> None:
+                 write_high_water: int = 0,
+                 write_grace: float = 10.0) -> None:
         if workers < 1:
             raise ReproError(f"need at least one worker, got {workers}")
         self.workers = workers
@@ -466,19 +460,16 @@ class ClusterServer:
         self.port = port
         self.admin_port = admin_port
         self.admin_host: Optional[str] = None
-        self.coalesce = coalesce
-        self.window = window
-        self.max_batch = max_batch
-        self.max_frame = max_frame
         self.poll_interval = poll_interval
-        self.max_inflight = int(max_inflight)
-        self.max_pending_writes = int(max_pending_writes)
-        self.shed_retry_after_ms = int(shed_retry_after_ms)
-        self.write_high_water = int(write_high_water)
-        self.write_grace = float(write_grace)
-        self.ack_timeout = float(ack_timeout)
-        self.ready_timeout = float(ready_timeout)
-        self.join_timeout = float(join_timeout)
+        #: Server keyword arguments shared by every worker and the
+        #: parent; the parent turns coalescing off, as it serves only
+        #: forwarded writes and admin requests.
+        self.server_options = {
+            "coalesce": coalesce, "max_frame": max_frame,
+            "max_inflight": max_inflight,
+            "shed_retry_after_ms": shed_retry_after_ms,
+            "write_high_water": write_high_water,
+            "write_grace": write_grace}
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             default_labels={"worker_id": "writer"})
         self._owned_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -488,7 +479,7 @@ class ClusterServer:
             snapshot_dir = self._owned_dir.name
         self.store = GenerationStore(snapshot_dir, keep=keep_generations)
         self.state = PublishingState(engine, self.store,
-                                     metrics=self.metrics, tracer=tracer,
+                                     metrics=self.metrics,
                                      max_pending_writes=max_pending_writes)
         self._socket_dir = self._pick_socket_dir()
         self.writer_path = str(Path(self._socket_dir) / "writer.sock")
@@ -554,13 +545,8 @@ class ClusterServer:
             admin_path=self.worker_admin_path(worker_id),
             host=self.host, port=self.port,
             listen_sock=None if self._reuseport else self._listen_sock,
-            coalesce=self.coalesce, window=self.window,
-            max_batch=self.max_batch, max_frame=self.max_frame,
-            poll_interval=self.poll_interval, ack_timeout=self.ack_timeout,
-            max_inflight=self.max_inflight,
-            shed_retry_after_ms=self.shed_retry_after_ms,
-            write_high_water=self.write_high_water,
-            write_grace=self.write_grace)
+            poll_interval=self.poll_interval,
+            server_options=self.server_options)
 
     def _spawn_worker(self, worker_id: int) -> None:
         """Fork one worker and wait until it is accepting. Runs in the
@@ -571,11 +557,11 @@ class ClusterServer:
             target=_worker_main, args=(record.config, ready),
             daemon=True, name=f"repro-worker-{worker_id}")
         process.start()
-        if not ready.wait(self.ready_timeout):
+        if not ready.wait(_READY_TIMEOUT):
             process.terminate()
             raise ReproError(
                 f"worker {worker_id} failed to become ready within "
-                f"{self.ready_timeout:.0f}s")
+                f"{_READY_TIMEOUT:.0f}s")
         record.process = process
 
     # ------------------------------------------------------------------
@@ -585,11 +571,7 @@ class ClusterServer:
         """Start the writer/admin server; returns the admin address."""
         self.server = _ParentServer(
             self, state=self.state, metrics=self.metrics,
-            coalesce=False, max_frame=self.max_frame,
-            max_inflight=self.max_inflight,
-            shed_retry_after_ms=self.shed_retry_after_ms,
-            write_high_water=self.write_high_water,
-            write_grace=self.write_grace)
+            **{**self.server_options, "coalesce": False})
         await self.server.start_unix(self.writer_path)
         admin_host, admin_port = await self.server.start(
             self.host, self.admin_port)
@@ -690,7 +672,7 @@ class ClusterServer:
         for record in self._workers.values():
             if record.process is not None and record.process.is_alive():
                 record.process.terminate()  # SIGTERM -> graceful drain
-        deadline = loop.time() + self.join_timeout
+        deadline = loop.time() + _JOIN_TIMEOUT
         for record in self._workers.values():
             process = record.process
             if process is None:

@@ -20,12 +20,20 @@ requests at its own pace.
 Epoch is carried in the *filename* (not the RTCF header) because serve
 epochs count publishes, while the header epoch counts the underlying
 index's mutations — the two advance at different rates.
+
+After ``CURRENT`` moves, the writer also stores the epoch in ``EPOCH``,
+an 8-byte file every process maps shared.  A reader compares that word
+with the epoch it serves before each read — one memory load, no
+syscall — and re-attaches when the word is ahead.  The word is a hint,
+never the source of truth: readers always attach through ``CURRENT``.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import re
+import struct
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -37,6 +45,8 @@ from repro.errors import CorruptFileError, ReproError
 __all__ = ["GenerationStore", "generation_name", "parse_generation"]
 
 CURRENT_NAME = "CURRENT"
+EPOCH_NAME = "EPOCH"
+_EPOCH_WORD = struct.Struct("<q")
 _GEN_RE = re.compile(r"^gen-(\d+)\.rtcf$")
 
 
@@ -65,6 +75,7 @@ class GenerationStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.keep = max(1, int(keep))
         self._fs = fs
+        self._epoch_map: Optional[mmap.mmap] = None
 
     # ------------------------------------------------------------------
     # writer side
@@ -81,8 +92,21 @@ class GenerationStore:
         atomic_write_bytes(self.root / CURRENT_NAME,
                            (name + "\n").encode("ascii"),
                            fs=self._fs, label="current")
+        _EPOCH_WORD.pack_into(self._epoch_word(), 0, epoch)
         self.collect_garbage()
         return name
+
+    def _epoch_word(self) -> mmap.mmap:
+        if self._epoch_map is None:
+            fd = os.open(self.root / EPOCH_NAME, os.O_RDWR | os.O_CREAT,
+                         0o644)
+            try:
+                if os.fstat(fd).st_size < _EPOCH_WORD.size:
+                    os.ftruncate(fd, _EPOCH_WORD.size)
+                self._epoch_map = mmap.mmap(fd, _EPOCH_WORD.size)
+            finally:
+                os.close(fd)
+        return self._epoch_map
 
     def collect_garbage(self) -> List[str]:
         """Drop all but the newest ``keep`` generations; returns names.
@@ -118,6 +142,10 @@ class GenerationStore:
     # ------------------------------------------------------------------
     # reader side
     # ------------------------------------------------------------------
+    def published_epoch(self) -> int:
+        """The epoch of the last publish, read from the shared word."""
+        return _EPOCH_WORD.unpack_from(self._epoch_word())[0]
+
     def current(self) -> Optional[Tuple[int, str]]:
         """``(epoch, filename)`` of the current generation, or ``None``."""
         try:

@@ -29,172 +29,30 @@ __all__ = ["ClusterThread", "ServerBackedEngine", "ServerThread"]
 DEFAULT_CALL_TIMEOUT = 30.0
 
 
-class ServerThread:
-    """A live server plus one client, owned by a private loop thread.
+class _LoopThread:
+    """A private event loop in a daemon thread plus one client, bridged
+    to synchronous callers.
 
-    ``engine_factory`` is called *inside* the loop thread (asyncio
-    primitives bind to the running loop on older Pythons) and must
-    return the engine to serve.  Use as a context manager, or call
+    Subclasses supply :meth:`_startup` (runs on the loop; must set
+    ``_client``) and :meth:`_stop_serving` (runs on the loop at close,
+    after the client is closed).  Use as a context manager, or call
     :meth:`close` explicitly.
     """
 
-    def __init__(self, engine_factory, *, coalesce: bool = True,
-                 window: Optional[float] = None,
-                 call_timeout: float = DEFAULT_CALL_TIMEOUT,
-                 server_kwargs: Optional[dict] = None,
-                 client_kwargs: Optional[dict] = None,
-                 proxy_factory=None) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._server: Optional[ReachabilityServer] = None
-        self._client: Optional[ReachabilityClient] = None
-        self._engine_factory = engine_factory
-        self._coalesce = coalesce
-        self._window = window
+    def __init__(self, name: str, call_timeout: float) -> None:
         self.call_timeout = float(call_timeout)
-        self._server_kwargs = dict(server_kwargs or {})
-        self._client_kwargs = dict(client_kwargs or {})
-        #: Called inside the loop thread with the server's (host, port);
-        #: must return an object exposing ``host``/``port`` to dial
-        #: instead and an async ``close()`` — the chaos proxy plugs in
-        #: here, so every client byte crosses it.
-        self._proxy_factory = proxy_factory
-        self.proxy = None
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="reachability-server")
-        self._thread.start()
-        self._ready.wait(self.call_timeout)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if self._server is None:
-            raise ReproError("server thread failed to start")
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._startup())
-        except BaseException as error:  # surface to the constructor
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.run_until_complete(self._loop.shutdown_asyncgens())
-            self._loop.close()
-
-    async def _startup(self) -> None:
-        kwargs = {"coalesce": self._coalesce}
-        if self._window is not None:
-            kwargs["window"] = self._window
-        kwargs.update(self._server_kwargs)
-        server = ReachabilityServer(self._engine_factory(), **kwargs)
-        host, port = await server.start("127.0.0.1", 0)
-        if self._proxy_factory is not None:
-            self.proxy = await self._proxy_factory(host, port)
-            host, port = self.proxy.host, self.proxy.port
-        self._client = await ReachabilityClient.connect(
-            host, port, **self._client_kwargs)
-        self._server = server
-        self.host, self.port = host, port
-
-    # ------------------------------------------------------------------
-    # sync bridge
-    # ------------------------------------------------------------------
-    def call(self, op: str, **fields: Any) -> Any:
-        """One request through the shared client, from any thread."""
-        client = self._client
-        if client is None:
-            raise ReproError("server thread is closed")
-        future = asyncio.run_coroutine_threadsafe(
-            client.call(op, **fields), self._loop)
-        return future.result(self.call_timeout)
-
-    def connect(self, **kwargs: Any) -> ReachabilityClient:
-        """A fresh client on the server's loop (for multi-conn tests).
-
-        Dials through the proxy when one is installed; ``kwargs``
-        override the thread's default client settings."""
-        merged = dict(self._client_kwargs)
-        merged.update(kwargs)
-        return asyncio.run_coroutine_threadsafe(
-            ReachabilityClient.connect(self.host, self.port, **merged),
-            self._loop).result(self.call_timeout)
-
-    def run_coro(self, coro) -> Any:
-        """Run an arbitrary coroutine on the server's loop."""
-        return asyncio.run_coroutine_threadsafe(
-            coro, self._loop).result(self.call_timeout)
-
-    def close(self) -> None:
-        if self._client is None and self._server is None:
-            return
-        client, self._client = self._client, None
-        server, self._server = self._server, None
-
-        proxy, self.proxy = self.proxy, None
-
-        async def teardown() -> None:
-            if client is not None:
-                await client.close()
-            if proxy is not None:
-                await proxy.close()
-            if server is not None:
-                await server.stop()
-
-        try:
-            asyncio.run_coroutine_threadsafe(
-                teardown(), self._loop).result(self.call_timeout)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(self.call_timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ClusterThread:
-    """A live preforked cluster plus one client, for synchronous code.
-
-    Same ``call``/``connect``/``run_coro``/``close`` surface as
-    :class:`ServerThread`, so :class:`ServerBackedEngine` adapts a whole
-    multi-process cluster into the engine interface — every comparison
-    answer round-trips through a real socket into a forked worker
-    reading an mmap'd generation file.
-
-    The fork happens *in the constructor's thread* (before the private
-    loop thread starts), because forking a process with a live event
-    loop duplicates the loop's internals into the child.
-    """
-
-    def __init__(self, engine_factory, *, workers: int = 2,
-                 coalesce: bool = True, window: Optional[float] = None,
-                 poll_interval: float = 0.01,
-                 call_timeout: float = DEFAULT_CALL_TIMEOUT,
-                 **cluster_kwargs: Any) -> None:
-        from repro.server.cluster import ClusterServer
-        kwargs = {"workers": workers, "coalesce": coalesce,
-                  "poll_interval": poll_interval}
-        if window is not None:
-            kwargs["window"] = window
-        kwargs.update(cluster_kwargs)
-        self.call_timeout = float(call_timeout)
-        self._cluster = ClusterServer(engine_factory(), port=0, **kwargs)
-        self.host, self.port = self._cluster.start()
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._client: Optional[ReachabilityClient] = None
         self._closed = False
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="reachability-cluster")
+                                        name=name)
         self._thread.start()
-        self._ready.wait(self.call_timeout)
+        if (not self._ready.wait(self.call_timeout)
+                and self._startup_error is None):
+            self._startup_error = ReproError(
+                f"{name} thread failed to start")
         if self._startup_error is not None:
             self.close()
             raise self._startup_error
@@ -215,39 +73,27 @@ class ClusterThread:
             self._loop.close()
 
     async def _startup(self) -> None:
-        await self._cluster.start_parent()
-        self._client = await ReachabilityClient.connect(self.host,
-                                                        self.port)
+        raise NotImplementedError
 
-    # -- sync bridge (same surface as ServerThread) --------------------
+    async def _stop_serving(self) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # sync bridge
+    # ------------------------------------------------------------------
     def call(self, op: str, **fields: Any) -> Any:
+        """One request through the shared client, from any thread."""
         client = self._client
         if client is None:
-            raise ReproError("cluster thread is closed")
+            raise ReproError(f"{self._thread.name} thread is closed")
         future = asyncio.run_coroutine_threadsafe(
             client.call(op, **fields), self._loop)
         return future.result(self.call_timeout)
 
-    def connect(self) -> ReachabilityClient:
-        """A fresh data-plane client (lands on a kernel-chosen worker)."""
-        return asyncio.run_coroutine_threadsafe(
-            ReachabilityClient.connect(self.host, self.port),
-            self._loop).result(self.call_timeout)
-
-    def connect_worker(self, worker_id: int) -> ReachabilityClient:
-        """A client pinned to one specific worker's admin socket."""
-        return asyncio.run_coroutine_threadsafe(
-            ReachabilityClient.connect_unix(
-                self._cluster.worker_admin_path(worker_id)),
-            self._loop).result(self.call_timeout)
-
     def run_coro(self, coro) -> Any:
+        """Run an arbitrary coroutine on the private loop."""
         return asyncio.run_coroutine_threadsafe(
             coro, self._loop).result(self.call_timeout)
-
-    @property
-    def cluster(self):
-        return self._cluster
 
     def close(self) -> None:
         if self._closed:
@@ -258,21 +104,122 @@ class ClusterThread:
         async def teardown() -> None:
             if client is not None:
                 await client.close()
-            await self._cluster.stop_parent()
+            await self._stop_serving()
 
         try:
             if self._thread.is_alive():
-                asyncio.run_coroutine_threadsafe(
-                    teardown(), self._loop).result(self.call_timeout)
+                self.run_coro(teardown())
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(self.call_timeout)
 
-    def __enter__(self) -> "ClusterThread":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class ServerThread(_LoopThread):
+    """A live server plus one client, owned by a private loop thread.
+
+    ``engine_factory`` is called *inside* the loop thread (asyncio
+    primitives bind to the running loop on older Pythons) and must
+    return the engine to serve.
+    """
+
+    def __init__(self, engine_factory, *,
+                 call_timeout: float = DEFAULT_CALL_TIMEOUT,
+                 client_kwargs: Optional[dict] = None,
+                 proxy_factory=None) -> None:
+        self._server: Optional[ReachabilityServer] = None
+        self._engine_factory = engine_factory
+        self._client_kwargs = dict(client_kwargs or {})
+        #: Called inside the loop thread with the server's (host, port);
+        #: must return an object exposing ``host``/``port`` to dial
+        #: instead and an async ``close()`` — the chaos proxy plugs in
+        #: here, so every client byte crosses it.
+        self._proxy_factory = proxy_factory
+        self.proxy = None
+        super().__init__("reachability-server", call_timeout)
+
+    async def _startup(self) -> None:
+        server = ReachabilityServer(self._engine_factory())
+        host, port = await server.start("127.0.0.1", 0)
+        if self._proxy_factory is not None:
+            self.proxy = await self._proxy_factory(host, port)
+            host, port = self.proxy.host, self.proxy.port
+        self._client = await ReachabilityClient.connect(
+            host, port, **self._client_kwargs)
+        self._server = server
+        self.host, self.port = host, port
+
+    async def _stop_serving(self) -> None:
+        proxy, self.proxy = self.proxy, None
+        server, self._server = self._server, None
+        if proxy is not None:
+            await proxy.close()
+        if server is not None:
+            await server.stop()
+
+    def connect(self, **kwargs: Any) -> ReachabilityClient:
+        """A fresh client on the server's loop (for multi-conn tests).
+
+        Dials through the proxy when one is installed; ``kwargs``
+        override the thread's default client settings."""
+        merged = dict(self._client_kwargs)
+        merged.update(kwargs)
+        return self.run_coro(
+            ReachabilityClient.connect(self.host, self.port, **merged))
+
+
+class ClusterThread(_LoopThread):
+    """A live preforked cluster plus one client, for synchronous code.
+
+    Same ``call``/``connect``/``run_coro``/``close`` surface as
+    :class:`ServerThread`, so :class:`ServerBackedEngine` adapts a whole
+    multi-process cluster into the engine interface — every comparison
+    answer round-trips through a real socket into a forked worker
+    reading an mmap'd generation file.  ``cluster_kwargs`` go to
+    :class:`~repro.server.cluster.ClusterServer`.
+
+    The fork happens *in the constructor's thread* (before the private
+    loop thread starts), because forking a process with a live event
+    loop duplicates the loop's internals into the child.
+    """
+
+    def __init__(self, engine_factory, *, workers: int = 2,
+                 poll_interval: float = 0.01,
+                 call_timeout: float = DEFAULT_CALL_TIMEOUT,
+                 **cluster_kwargs: Any) -> None:
+        from repro.server.cluster import ClusterServer
+        self._cluster = ClusterServer(
+            engine_factory(), port=0, workers=workers,
+            poll_interval=poll_interval, **cluster_kwargs)
+        self.host, self.port = self._cluster.start()
+        super().__init__("reachability-cluster", call_timeout)
+
+    async def _startup(self) -> None:
+        await self._cluster.start_parent()
+        self._client = await ReachabilityClient.connect(self.host,
+                                                        self.port)
+
+    async def _stop_serving(self) -> None:
+        await self._cluster.stop_parent()
+
+    def connect(self) -> ReachabilityClient:
+        """A fresh data-plane client (lands on a kernel-chosen worker)."""
+        return self.run_coro(ReachabilityClient.connect(self.host,
+                                                        self.port))
+
+    def connect_worker(self, worker_id: int) -> ReachabilityClient:
+        """A client pinned to one specific worker's admin socket."""
+        return self.run_coro(ReachabilityClient.connect_unix(
+            self._cluster.worker_admin_path(worker_id)))
+
+    @property
+    def cluster(self):
+        return self._cluster
 
 
 class ServerBackedEngine:

@@ -104,10 +104,9 @@ class ServeState:
     """
 
     def __init__(self, engine, *, metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, max_pending_writes: int = 0) -> None:
+                 max_pending_writes: int = 0) -> None:
         self._metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
-        self._tracer = tracer
         #: Admission cap on queued-but-unapplied writes; 0 disables.  A
         #: submit against a full queue is shed with ``overloaded`` —
         #: bounded memory under write storms, and the refusal happens

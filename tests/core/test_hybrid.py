@@ -194,16 +194,6 @@ class TestCompaction:
             assert hybrid.successors(node) == before[node][0]
             assert hybrid.predecessors(node) == before[node][1]
 
-    def test_auto_compact_on_query_defers_folding(self, paper_dag):
-        hybrid = HybridTCIndex.build(paper_dag, max_delta=1, max_ratio=100.0,
-                                     auto_compact_on_query=True)
-        hybrid.add_arc("g", "d")
-        hybrid.add_node("new", parents=["d"])
-        assert hybrid.compactions == 0  # mutations never fold
-        assert hybrid.reachable("g", "new")  # first query does
-        assert hybrid.compactions == 1
-        assert hybrid.delta_size == 0
-
     def test_out_of_band_index_mutation_taints(self, paper_dag):
         hybrid = HybridTCIndex.build(paper_dag, max_delta=1000,
                                      max_ratio=1000.0)
@@ -320,6 +310,23 @@ class TestPersistence:
         restored = hybrid_from_dict(hybrid_to_dict(hybrid))
         assert restored.tainted
         assert_matches_index(restored)
+
+    def test_document_with_retired_auto_compact_setting_loads(self,
+                                                              paper_dag):
+        """Documents saved while deferred (query-time) compaction existed
+        carry an ``auto_compact_on_query`` setting; they still load, with
+        the overlay intact and compaction back on the mutation path."""
+        hybrid = HybridTCIndex.build(paper_dag, max_delta=100,
+                                     max_ratio=100.0)
+        hybrid.add_node("new", parents=["e"])
+        document = hybrid_to_dict(hybrid)
+        document["settings"]["auto_compact_on_query"] = True
+        restored = hybrid_from_dict(document)
+        assert restored.delta_nodes == hybrid.delta_nodes
+        assert restored.reachable("a", "new")
+        assert_matches_index(restored)
+        assert "auto_compact_on_query" not in hybrid_to_dict(
+            restored)["settings"]
 
     def test_wrong_kind_rejected(self, paper_dag):
         from repro.core.serialize import index_from_dict, index_to_dict

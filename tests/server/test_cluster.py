@@ -21,9 +21,10 @@ from repro.core.hybrid import HybridTCIndex
 from repro.graph.generators import random_dag
 from repro.server.client import ReachabilityClient, ServerError
 from repro.server.inprocess import ClusterThread
+from repro.server.protocol import encode_frame
 from repro.testing.oracle import SetClosureOracle
 
-from .harness import http_exchange
+from .harness import http_exchange, next_response, run, serving
 
 ARCS = [("a", "b"), ("b", "c"), ("a", "d")]
 
@@ -114,6 +115,23 @@ def test_read_your_writes_on_one_connection():
             thread.run_coro(client.close())
 
 
+def test_read_after_an_ack_sees_it_on_another_worker():
+    """An ack through worker 0 is visible to the next read on worker 1
+    even though worker 1's poll of ``CURRENT`` never runs: it re-attaches
+    because the writer's shared epoch word moved."""
+    with _cluster(poll_interval=3600.0) as thread:
+        writer = thread.connect_worker(0)
+        reader = thread.connect_worker(1)
+        try:
+            assert thread.run_coro(reader.check("d", "c")) is False
+            ack = thread.run_coro(writer.add_arc("d", "c"))
+            assert thread.run_coro(reader.check("d", "c")) is True
+            assert thread.run_coro(reader.stats())["epoch"] >= ack
+        finally:
+            thread.run_coro(writer.close())
+            thread.run_coro(reader.close())
+
+
 def test_writes_are_refused_when_serving_a_frozen_snapshot():
     with ClusterThread(lambda: HybridTCIndex.from_arcs(ARCS).snapshot(),
                        workers=2, poll_interval=0.005) as thread:
@@ -121,6 +139,41 @@ def test_writes_are_refused_when_serving_a_frozen_snapshot():
         with pytest.raises(ServerError) as excinfo:
             thread.call("add-arc", u="c", v="d")
         assert excinfo.value.code == "read-only"
+
+
+def test_shared_server_options_reach_every_forked_worker():
+    """``ClusterServer``'s server options travel to each worker through
+    one dict: a frame over a small ``max_frame`` is refused by every
+    worker with the code the single-process server gives, and
+    ``coalesce=False`` shows in every worker's stats."""
+    frame = encode_frame({"id": 1, "op": "ping", "pad": "x" * 1024})
+
+    async def refusal(reader, writer):
+        writer.write(frame)
+        await writer.drain()
+        response = await next_response(reader)
+        writer.close()
+        return response.get("error", {}).get("code")
+
+    async def single_process():
+        async with serving(_factory(), max_frame=256) as (_, host, port):
+            return await refusal(*await asyncio.open_connection(host, port))
+
+    expected = run(single_process())
+    assert expected == "too-large"
+    with _cluster(max_frame=256, coalesce=False) as thread:
+        for worker_id in (0, 1):
+            path = thread.cluster.worker_admin_path(worker_id)
+            assert thread.run_coro(refusal(
+                *thread.run_coro(asyncio.open_unix_connection(path)))) \
+                == expected
+            pinned = thread.connect_worker(worker_id)
+            try:
+                stats = thread.run_coro(pinned.stats())
+                assert stats["worker_id"] == worker_id
+                assert stats["coalescer"]["enabled"] is False
+            finally:
+                thread.run_coro(pinned.close())
 
 
 # ----------------------------------------------------------------------

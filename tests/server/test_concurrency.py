@@ -308,32 +308,33 @@ class TestCoalescingTransparency:
         assert run(collect(True)) == run(collect(False))
 
     def test_concurrent_connections_coalesce_into_fewer_drains(self):
-        """Many parallel clients actually share reachable_many calls."""
+        """Concurrent check groups share one reachable_many drain.
+
+        Eight single-pair groups submitted in one ``gather`` all enqueue
+        before the one-scheduler-pass drain runs, so exactly one drain
+        answers all eight, from one snapshot."""
+        import random
         graph = random_dag(30, 1.8, 17)
         nodes = sorted(graph.nodes(), key=repr)
+        rng = random.Random(17)
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(8)]
+        closure = SetClosureOracle(arcs=graph.arcs(),
+                                   nodes=graph.nodes()).closure()
         engine = HybridTCIndex.build(graph)
 
         async def scenario():
-            async with serving(engine, coalesce=True,
-                               window=0.002) as (server, host, port):
-                # Warm the EWMA so the window engages.
-                clients = [await ReachabilityClient.connect(host, port)
-                           for _ in range(8)]
-                try:
-                    async def hammer(client, seed):
-                        import random
-                        rng = random.Random(seed)
-                        for _ in range(40):
-                            await client.check(rng.choice(nodes),
-                                               rng.choice(nodes))
-
-                    await asyncio.gather(
-                        *(hammer(client, i)
-                          for i, client in enumerate(clients)))
-                finally:
-                    for client in clients:
-                        await client.close()
-                stats = server.coalescer.stats()
-                # 320 checks; require genuine sharing, not one-per-drain.
-                assert stats["ewma_batch_size"] > 1.0
+            async with serving(engine) as (server, _, _):
+                batches = server.metrics.counter("tc_server_batches_total")
+                coalesced = server.metrics.counter(
+                    "tc_server_coalesced_checks_total")
+                before = batches.value, coalesced.value
+                results = await asyncio.gather(
+                    *(server.coalescer.check_group([pair])
+                      for pair in pairs))
+                assert batches.value - before[0] == 1
+                assert coalesced.value - before[1] == 8
+                assert len({id(snapshot) for _, snapshot in results}) == 1
+                assert [answers for answers, _ in results] == [
+                    [destination in closure[source]]
+                    for source, destination in pairs]
         run(scenario())

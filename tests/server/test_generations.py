@@ -99,6 +99,19 @@ def test_current_is_never_garbage_collected(tmp_path):
     assert store.attach()[0] == 1
 
 
+def test_publish_sets_the_shared_epoch_word(tmp_path):
+    """A reader's mapping of ``EPOCH`` sees each publish without
+    re-reading any file; a later cluster's generation 0 resets it."""
+    writer = GenerationStore(tmp_path)
+    writer.publish(_frozen(ARCS_V0), 0)
+    reader = GenerationStore(tmp_path)
+    assert reader.published_epoch() == 0
+    writer.publish(_frozen(ARCS_V1), 5)
+    assert reader.published_epoch() == 5
+    GenerationStore(tmp_path).publish(_frozen(ARCS_V0), 0)
+    assert reader.published_epoch() == 0
+
+
 class TestTornPublish:
     def test_crash_before_current_rename_keeps_old_generation(self, tmp_path):
         """The ISSUE's torn-publish case: gen file written, CURRENT not
@@ -114,6 +127,7 @@ class TestTornPublish:
         epoch, _, view = store.attach()
         assert epoch == 1
         assert "d" not in view  # the torn epoch-2 state is invisible
+        assert store.published_epoch() == 1  # the word never runs ahead
 
     def test_crash_during_generation_write_keeps_old_generation(
             self, tmp_path):

@@ -638,6 +638,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Pin an immutable snapshot of whatever was loaded; the
             # server then refuses every write with a read-only error.
             if hasattr(engine, "snapshot"):
+                # Fold first: nothing publishes after this, so the
+                # service pins a bare base a cluster can write as RTCF.
+                engine.compact()
                 engine = engine.snapshot()
             elif hasattr(engine, "freeze"):
                 engine = engine.freeze()

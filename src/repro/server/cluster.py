@@ -1,10 +1,10 @@
-"""Preforked multi-core serving over shared RTCF snapshot generations.
+"""Preforked multi-core serving over shared snapshot generations.
 
 One writer process (the parent) owns the mutable engine and the
 single-writer protocol from :mod:`repro.server.state`; N read-worker
 processes each run the ordinary :class:`ReachabilityServer` loop
-against a zero-copy mmap of the current snapshot generation
-(:mod:`repro.server.generations`).  The pieces:
+against a zero-copy mmap of the current base generation plus the
+published delta sidecar (:mod:`repro.server.generations`).  The pieces:
 
 * **Accept sharding.**  Every worker owns a ``SO_REUSEPORT`` listening
   socket on the same port, so the kernel load-balances connections with
@@ -13,27 +13,30 @@ against a zero-copy mmap of the current snapshot generation
   through ``fork`` — same port, kernel accept queue as the balancer.
 * **Publish-before-ack, across processes.**  A mutation reaches a
   worker, is forwarded over a unix socket to the writer, and the writer
-  acks only after the covering generation file is on disk, ``CURRENT``
-  points at it and the shared epoch word holds its epoch
-  (:class:`PublishingState`).  Every worker checks that word before each
-  read and re-attaches when it is ahead — so a read that starts after an
-  ack, on any connection and any worker, is served at or above the
-  acked epoch.
-* **O(1) re-attach.**  A worker swaps in the new generation with one
-  mmap, when the epoch word moves or its background poll of ``CURRENT``
-  sees a new name; queries in flight keep the old mapping (POSIX keeps
-  unlinked mapped files readable), so garbage collection of stale
-  generations never blocks on readers.
+  acks only after the covering snapshot is on disk — normally a small
+  ``gen-<base>+<epoch>.delta`` sidecar, a new RTCF base plus a moved
+  ``CURRENT`` only when the hybrid folded — and the shared epoch word
+  holds its epoch (:class:`PublishingState`).  Every worker checks that
+  word before each read and refreshes when it is ahead — so a read that
+  starts after an ack, on any connection and any worker, is served at
+  or above the acked epoch.
+* **Cheap refresh.**  A worker detects a new snapshot by its (base,
+  epoch) pair.  An unchanged base keeps its mmap and only the sidecar
+  is read; a new base is one O(1) mmap.  Queries in flight keep the old
+  snapshot (POSIX keeps unlinked mapped files readable), so garbage
+  collection of stale generations never blocks on readers.
 * **Merged observability.**  Each worker tags every metric series with
   ``worker_id`` and exposes a JSON snapshot on a per-worker admin
   socket; the parent's ``/metrics`` scrapes them all and renders one
-  Prometheus view, and ``/healthz`` reports epoch, generation, and
-  per-worker liveness.
+  Prometheus view, and ``/healthz`` reports the epoch, the base
+  generation and sidecar, and per-worker liveness.
 
 ``repro serve --workers N --snapshot-dir DIR`` wires this up from the
-CLI.  Frozen (read-only) engines are served the same way minus the
-write path.  Engines using fractional postorder numbering cannot be
-published as RTCF and draw a clear error at startup.
+CLI.  A writer restarting on a used directory starts its epochs above
+every epoch found there.  Frozen (read-only) engines are served the
+same way minus the write path.  Engines without flat buffers (hop and
+chain labels) and engines using fractional postorder numbering cannot
+be published as RTCF and draw a clear error at startup.
 """
 
 from __future__ import annotations
@@ -48,12 +51,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
+from repro.core.hybrid import HybridView
 from repro.errors import ReproError
 from repro.obs.export import render_prometheus_snapshots
 from repro.obs.metrics import MetricsRegistry
 from repro.server.app import ReachabilityServer
 from repro.server.client import ReachabilityClient
-from repro.server.generations import GenerationStore
+from repro.server.generations import (GenerationStore, sidecar_for,
+                                      snapshot_parts)
 from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
                                    ProtocolError)
 from repro.server.state import ServeState, Snapshot
@@ -93,18 +98,44 @@ def _reuseport_socket(host: str, port: int, *, listen: bool) -> socket.socket:
 class PublishingState(ServeState):
     """ServeState that writes each published epoch to the generation
     store *before* acknowledging it — publish-before-ack extended from
-    an attribute swap to an atomic rename other processes can see."""
+    an attribute swap to an atomic rename other processes can see.
+
+    Epochs start above the newest epoch already in the store, so a
+    restart on a used directory never reuses a name."""
 
     def __init__(self, engine, store: GenerationStore, **kwargs) -> None:
         self._store = store
         super().__init__(engine, **kwargs)
+        self.snapshot = Snapshot(store.newest_epoch() + 1,
+                                 self.snapshot.engine)
+        self._set_epoch_gauge()
         self.generation: Optional[str] = None
         self._generation_seconds = self._metrics.histogram(
             "tc_cluster_generation_publish_seconds",
-            help="wall time to write and point a generation file")
+            help="wall time to write a delta sidecar (or, after a fold, "
+                 "a generation file) and store the epoch word")
+
+    def _compile(self):
+        engine = super()._compile()
+        if (isinstance(engine, HybridView) and self._hybrid is not None
+                and (engine.delta_arcs or engine.delta_nodes)
+                and engine.base is not self._store.published_base):
+            # A new base file must hold the exact state of the epoch it
+            # is named by: a batch that folded part-way through folds
+            # its tail too.
+            self._hybrid.compact()
+            engine = self._hybrid.snapshot()
+        return engine
+
+    @property
+    def delta(self) -> Optional[str]:
+        """The sidecar the served epoch reads, or ``None`` for a bare
+        base."""
+        return sidecar_for(self.generation, self.snapshot.epoch)
 
     def publish_initial(self) -> str:
-        """Write generation 0 so workers have something to attach."""
+        """Write the first base so workers have something to attach;
+        sweeps whatever an earlier run left in the store."""
         self.generation = self._store.publish(
             self.snapshot.engine, self.snapshot.epoch)
         return self.generation
@@ -119,6 +150,7 @@ class PublishingState(ServeState):
     def stats(self) -> dict:
         payload = super().stats()
         payload["generation"] = self.generation
+        payload["delta"] = self.delta
         return payload
 
 
@@ -128,11 +160,12 @@ class PublishingState(ServeState):
 class WorkerState:
     """A read-worker's ServeState-shaped view of the cluster.
 
-    Queries answer from ``snapshot`` — an mmap of the current
-    generation, refreshed whenever the writer's epoch word is ahead of
-    it, by a background poll of ``CURRENT``, and after every forwarded
-    write ack.  Mutations forward to the writer over its unix socket and
-    ack only once the covering generation is locally visible.
+    Queries answer from ``snapshot`` — the mmap'd base generation, plus
+    the published delta sidecar when the epoch is past the base —
+    refreshed whenever the writer's epoch word is ahead of it, by a
+    background poll of ``CURRENT`` and the word, and after every
+    forwarded write ack.  Mutations forward to the writer over its unix
+    socket and ack only once the covering snapshot is locally visible.
     """
 
     def __init__(self, store: GenerationStore, *, worker_id: int = 0,
@@ -156,7 +189,15 @@ class WorkerState:
         self.generation = name
         self._reattaches = self._metrics.counter(
             "tc_worker_reattach_total",
-            help="generation re-attaches (mmap swaps)")
+            help="snapshot refreshes (a new sidecar or a new base)")
+        self._compactions = self._metrics.counter(
+            "tc_server_compactions_total",
+            help="delta folds into a fresh base on the serve path (here: "
+                 "folded bases attached after the first)")
+        self._delta_gauge = self._metrics.gauge(
+            "tc_server_delta_arcs",
+            help="delta-overlay arcs in the served snapshot")
+        self._delta_gauge.set(getattr(engine, "delta_size", 0))
         self._refresh_errors = self._metrics.counter(
             "tc_worker_refresh_errors_total",
             help="failed CURRENT polls or attaches")
@@ -189,6 +230,7 @@ class WorkerState:
         payload = {
             "epoch": snapshot.epoch,
             "generation": self.generation,
+            "delta": sidecar_for(self.generation, snapshot.epoch),
             "worker_id": self.worker_id,
             "read_only": self.read_only,
             "nodes": len(snapshot.engine),
@@ -221,21 +263,30 @@ class WorkerState:
 
     # -- generation tracking -------------------------------------------
     def refresh(self) -> bool:
-        """Re-attach if ``CURRENT`` moved; True when the snapshot swapped.
+        """Refresh if the (base, epoch) pair moved; True when the
+        snapshot swapped.
 
-        Synchronous on purpose: one pointer read plus one O(1) mmap,
-        cheap enough to run between requests.  The displaced view is
-        *not* closed — queries in flight still hold it; the garbage
-        collector unmaps it when the last reference drops.
+        Synchronous on purpose: two pointer reads plus a sidecar read
+        (or, after a fold, one O(1) mmap), cheap enough to run between
+        requests.  The displaced snapshot is *not* closed — queries in
+        flight still hold it; the garbage collector unmaps it when the
+        last reference drops.
         """
-        current = self._store.current()
-        if current is None or current[1] == self.generation:
+        served = self._store.served()
+        if served is None or served == (self.generation,
+                                         self._snapshot.epoch):
             return False
-        epoch, name, engine = self._store.attach()
+        engine = self._snapshot.engine
+        base = engine.base if isinstance(engine, HybridView) else engine
+        epoch, name, engine = self._store.attach(
+            reuse=(self.generation, base))
+        if name != self.generation:
+            self._compactions.inc()
         self._snapshot = Snapshot(epoch, engine)
         self.generation = name
         self._reattaches.inc()
         self._epoch_gauge.set(epoch)
+        self._delta_gauge.set(getattr(engine, "delta_size", 0))
         return True
 
     def _try_refresh(self) -> None:
@@ -433,8 +484,8 @@ class _ParentServer(ReachabilityServer):
 class ClusterServer:
     """The preforked worker pool: fork, serve, supervise, shut down.
 
-    Synchronous :meth:`start` publishes generation 0, reserves the
-    port, and forks the workers — call it *before* any event loop runs
+    Synchronous :meth:`start` publishes the first generation, reserves
+    the port, and forks the workers — call it *before* any event loop runs
     in this process (forking a live loop duplicates its internals).
     Then either :meth:`run` (blocking, installs signal handlers — the
     CLI path) or ``await`` :meth:`start_parent` /
@@ -455,6 +506,9 @@ class ClusterServer:
                  write_grace: float = 10.0) -> None:
         if workers < 1:
             raise ReproError(f"need at least one worker, got {workers}")
+        if (hasattr(engine, "capabilities")
+                and not engine.capabilities().supports_updates):
+            snapshot_parts(engine)  # refuses engines without buffers
         self.workers = workers
         self.host = host
         self.port = port
@@ -509,11 +563,12 @@ class ClusterServer:
         return str(Path(self._socket_dir) / f"worker-{worker_id}.sock")
 
     # ------------------------------------------------------------------
-    # pre-loop phase: publish gen-0, reserve the port, fork
+    # pre-loop phase: publish the first base, reserve the port, fork
     # ------------------------------------------------------------------
     def start(self) -> Tuple[str, int]:
-        """Publish generation 0 and fork the workers; returns the bound
-        serving address.  Must run before this process starts a loop."""
+        """Publish the first generation and fork the workers; returns the
+        bound serving address.  Must run before this process starts a
+        loop."""
         import multiprocessing
         self._mp = multiprocessing.get_context("fork")
         self.state.publish_initial()
@@ -646,6 +701,7 @@ class ClusterServer:
             "role": "writer",
             "epoch": self.state.epoch,
             "generation": self.state.generation,
+            "delta": self.state.delta,
             "nodes": len(self.state.snapshot.engine),
             "read_only": self.state.read_only,
             "workers": workers,

@@ -1,28 +1,33 @@
 """Serving state: pinned snapshots, a single-writer task, epoch swaps.
 
 Reads never lock.  Every read path grabs ``state.snapshot`` once — a
-:class:`Snapshot` wrapping a *detached* :class:`~repro.core.frozen.FrozenTCIndex`
-(or an mmap-backed RTCF view), both immutable — and answers entirely
-from it.  Because a snapshot is never mutated after publication, any
-number of connection tasks can share it with zero coordination, and a
-request that started on epoch *e* keeps answering from epoch *e* even if
-a swap lands mid-flight: answers are internally consistent, never torn.
+:class:`Snapshot` wrapping an immutable engine: for an updatable engine
+a :class:`~repro.core.hybrid.HybridView` (a frozen base plus a frozen
+copy of the delta overlay), for a read-only one the compiled snapshot
+itself (a detached :class:`~repro.core.frozen.FrozenTCIndex`, an
+mmap-backed RTCF view, hop or chain labels) — and answers entirely from
+it.  Because a snapshot is never mutated after publication, any number
+of connection tasks can share it with zero coordination, and a request
+that started on epoch *e* keeps answering from epoch *e* even if a swap
+lands mid-flight: answers are internally consistent, never torn.
 
 Writes funnel through one queue drained by a single asyncio task.  The
 writer drains every queued mutation, applies them in submission order to
 the write-through engine (the hybrid's Section 4 algorithms keep the
-mutable truth exact in microseconds), folds the delta into a fresh
-frozen base (:meth:`HybridTCIndex.compact` — one freeze of
-already-updated state, no closure recomputation), and then **publishes**:
-a single attribute assignment swaps the new :class:`Snapshot` in for all
-future reads.  Only after the swap are the writes acknowledged, so a
-client that has seen a write ack at epoch *e* is guaranteed every later
-read is served at epoch >= *e* (read-your-writes), and no read is ever
-served more than one publish behind a mutation it raced.
+mutable truth exact in microseconds), pins the hybrid's current view —
+the unchanged base plus the delta, O(delta), no freeze — and then
+**publishes**: a single attribute assignment swaps the new
+:class:`Snapshot` in for all future reads.  The delta is folded into a
+fresh frozen base only when the hybrid's cost policy (``max_delta`` /
+``max_ratio``) is crossed or a deletion of base structure taints it; that
+fold happens in the writer, before the ack.  Only after the swap are the
+writes acknowledged, so a client that has seen a write ack at epoch *e*
+is guaranteed every later read is served at epoch >= *e*
+(read-your-writes), and no read is ever served more than one publish
+behind a mutation it raced.
 
 Epochs count publishes, not mutations: a burst of writes drained
-together becomes one epoch swap, which is what keeps refreeze cost
-amortised under write bursts.
+together becomes one epoch swap.
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ class ServeState:
     ``engine`` may be any :class:`~repro.core.engine.TCEngine`:
 
     * a :class:`HybridTCIndex` (the intended shape) — writes go through
-      its write-through index, publishes fold the delta via
-      :meth:`~HybridTCIndex.compact` and pin the fresh base;
+      its write-through index, publishes pin its
+      :meth:`~HybridTCIndex.snapshot` (base plus delta; the hybrid folds
+      on its own cost policy or a taint);
     * an :class:`IntervalTCIndex` — wrapped into a hybrid so the serve
       path is identical;
     * any compiled snapshot — a :class:`FrozenTCIndex` (including
@@ -100,7 +106,8 @@ class ServeState:
       every write draws a ``read-only`` error;
     * a :class:`~repro.durability.store.DurableTCIndex` — writes are
       journalled through the store facade; snapshots come from its inner
-      engine (compacted when hybrid, frozen otherwise).
+      engine (a pinned view when hybrid, a fresh freeze per publish
+      otherwise).
     """
 
     def __init__(self, engine, *, metrics: Optional[MetricsRegistry] = None,
@@ -159,8 +166,7 @@ class ServeState:
         if caps.kind == "hybrid":
             return engine, engine, None
         if caps.kind == "interval":
-            hybrid = HybridTCIndex.from_index(
-                engine, max_delta=1 << 30, max_ratio=float(1 << 30))
+            hybrid = HybridTCIndex.from_index(engine)
             return hybrid, hybrid, None
         raise ReproError(
             f"cannot serve a {type(engine).__name__}: updatable engine "
@@ -171,11 +177,13 @@ class ServeState:
         if self._frozen is not None:
             return self._frozen
         if self._hybrid is not None:
-            # Fold the delta so reads stay flat-array fast; the fresh
-            # pinned base *is* the publishable snapshot.
             return self._hybrid.snapshot()
         index = self.engine.index  # durable store over a plain index
         return FrozenTCIndex.from_index(index).detach()
+
+    def _folds(self) -> int:
+        """Folds so far of the hybrid behind the snapshots (0 if none)."""
+        return self._hybrid.compactions if self._hybrid is not None else 0
 
     def _instruments(self) -> None:
         registry = self._metrics
@@ -184,7 +192,14 @@ class ServeState:
             help="snapshot publications (epoch advances)")
         self._publish_seconds = registry.histogram(
             "tc_server_publish_seconds",
-            help="wall time to refreeze and publish a snapshot")
+            help="wall time to pin and publish a snapshot (a delta "
+                 "append, or a fold when one is due)")
+        self._compactions = registry.counter(
+            "tc_server_compactions_total",
+            help="delta folds into a fresh base on the serve path")
+        self._delta_gauge = registry.gauge(
+            "tc_server_delta_arcs",
+            help="delta-overlay arcs in the served snapshot")
         self._write_batch = registry.histogram(
             "tc_server_write_batch_size",
             help="mutations folded into one epoch swap",
@@ -206,6 +221,8 @@ class ServeState:
 
     def _set_epoch_gauge(self) -> None:
         self._epoch_gauge.set(self.snapshot.epoch)
+        self._delta_gauge.set(
+            getattr(self.snapshot.engine, "delta_size", 0))
 
     # ------------------------------------------------------------------
     # introspection
@@ -327,12 +344,13 @@ class ServeState:
         from repro.server.protocol import ProtocolError
         target = self._write_target
         applied: List[WriteOp] = []
+        folds = self._folds()
         now = time.monotonic()
         for write in batch:
             if write.deadline is not None and now >= write.deadline:
                 # Still unapplied and already worthless: refusing here
                 # keeps the deadline-exceeded = not-applied guarantee
-                # while sparing the refreeze a mutation nobody wants.
+                # while sparing the publish a mutation nobody wants.
                 self._writes_expired.inc()
                 if not write.future.cancelled():
                     write.future.set_exception(ProtocolError(
@@ -355,6 +373,7 @@ class ServeState:
             self._publish_seconds.observe_ns(
                 time.perf_counter_ns() - started)
             self._swaps.inc()
+            self._compactions.inc(self._folds() - folds)
             self._writes.inc(len(applied))
             self._write_batch.observe(len(applied))
             self._set_epoch_gauge()
@@ -379,5 +398,6 @@ class ServeState:
         """Hook: runs after each snapshot swap, *before* acks.
 
         The cluster's :class:`~repro.server.cluster.PublishingState`
-        overrides this to write the new generation file and move the
-        ``CURRENT`` pointer — publish-before-ack across processes."""
+        overrides this to write the delta sidecar (or, after a fold, the
+        new generation file and ``CURRENT``) and store the epoch word —
+        publish-before-ack across processes."""

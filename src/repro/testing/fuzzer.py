@@ -68,12 +68,13 @@ MUTATING_KINDS = frozenset(
 OP_KINDS = MUTATING_KINDS | {"freeze", "query", "compact"}
 
 #: Default differential matrix: frozen + live hybrid mirror + rebuilds +
-#: every baseline (``hybrid-delta`` rebuilds with a live overlay) + the
-#: label engines (``hoplabel``; ``chain`` rides in via ``baselines``).
+#: every baseline (``hybrid-delta`` rebuilds with a live overlay,
+#: ``server-delta`` serves one) + the label engines (``hoplabel``;
+#: ``chain`` rides in via ``baselines``).
 DEFAULT_ENGINES: Tuple[str, ...] = ("frozen", "hybrid", "rebuild",
                                     "rebuild-merged", "rebuild-reference",
                                     "rtcf", "baselines", "hybrid-delta",
-                                    "hoplabel")
+                                    "server-delta", "hoplabel")
 
 #: Compaction threshold of the live hybrid mirror: small enough that a
 #: fuzz run crosses it many times, so freeze→mutate→query→compact

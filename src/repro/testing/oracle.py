@@ -208,26 +208,64 @@ def _build_durable(graph: DiGraph):
     return reopened
 
 
+#: Compaction thresholds out of reach, so a delta engine's overlay is
+#: still live when the comparison runs.
+_UNFOLDED = {"max_delta": 1_000_000, "max_ratio": 1_000_000.0}
+
+
+def withheld_writes(graph: DiGraph) -> Tuple[DiGraph, List[Tuple[str, tuple]]]:
+    """Split ``graph`` into a base graph and the writes that restore it.
+
+    Withholds one node (the last by ``repr``) with every arc incident to
+    it, plus a deterministic slice of up to eight other arcs.  The
+    writes — ``("add-node", (node, parents))`` first, then
+    ``("add-arc", (u, v))`` — rebuild ``graph`` exactly when applied to
+    an engine built from the base.
+    """
+    nodes = sorted(graph.nodes(), key=repr)
+    if not nodes:
+        return graph, []
+    node = nodes[-1]
+    arcs = sorted(graph.arcs(), key=repr)
+    incident = [arc for arc in arcs if node in arc]
+    rest = [arc for arc in arcs if node not in arc]
+    count = min(8, len(rest) // 4)
+    kept = rest[:len(rest) - count]
+    parents = [source for source, destination in incident
+               if destination == node]
+    writes = [("add-node", (node, parents))]
+    writes += [("add-arc", arc) for arc in incident if arc[0] == node]
+    writes += [("add-arc", arc) for arc in rest[len(rest) - count:]]
+    return DiGraph(arcs=kept, nodes=nodes[:-1]), writes
+
+
 def _build_hybrid_delta(graph: DiGraph):
     """A hybrid engine compared *while its delta overlay is live*.
 
-    Builds the frozen base from the graph minus a deterministic slice of
-    withheld arcs, then adds those arcs back through the hybrid — so the
-    comparison exercises the overlay correction path, not just a freshly
-    compacted snapshot.  Thresholds are pushed out of reach to keep the
-    delta from folding before the check.
+    Builds the frozen base from :func:`withheld_writes`' base graph and
+    applies its writes through the hybrid — so the comparison exercises
+    the overlay correction path, not just a freshly compacted snapshot.
+    Thresholds are pushed out of reach to keep the delta from folding
+    before the check.
     """
     from repro.core.hybrid import HybridTCIndex
-    arcs = sorted(graph.arcs(), key=repr)
-    withheld_count = min(8, len(arcs) // 4)
-    kept = arcs[:len(arcs) - withheld_count] if withheld_count else arcs
-    withheld = arcs[len(arcs) - withheld_count:] if withheld_count else []
-    base_graph = DiGraph(arcs=kept, nodes=list(graph.nodes()))
-    hybrid = HybridTCIndex.build(base_graph, max_delta=1_000_000,
-                                 max_ratio=1_000_000.0)
-    for source, destination in withheld:
-        hybrid.add_arc(source, destination)
+    base, writes = withheld_writes(graph)
+    hybrid = HybridTCIndex.build(base, **_UNFOLDED)
+    for op, args in writes:
+        if op == "add-node":
+            hybrid.add_node(*args)
+        else:
+            hybrid.add_arc(*args)
     return hybrid
+
+
+def _write_through(thread, writes: List[Tuple[str, tuple]]) -> None:
+    """Apply :func:`withheld_writes` writes over the wire."""
+    for op, args in writes:
+        if op == "add-node":
+            thread.call(op, node=args[0], parents=list(args[1]))
+        else:
+            thread.call(op, u=args[0], v=args[1])
 
 
 def _build_interval_reference(graph: DiGraph):
@@ -349,6 +387,45 @@ def _build_cluster(graph: DiGraph):
     return engine
 
 
+def _build_server_delta(graph: DiGraph):
+    """The ``server`` engine answering from a served non-empty delta.
+
+    The server starts on :func:`withheld_writes`' base graph with
+    thresholds out of reach, and the withheld node and arcs are written
+    back through the protocol — so every comparison answer comes from a
+    published base-plus-delta snapshot, not a fresh build.
+    """
+    import weakref
+    from repro.core.hybrid import HybridTCIndex
+    from repro.server.inprocess import ServerBackedEngine, ServerThread
+    base, writes = withheld_writes(graph)
+    thread = ServerThread(lambda: HybridTCIndex.build(base, **_UNFOLDED))
+    engine = ServerBackedEngine(thread)
+    weakref.finalize(engine, thread.close)
+    _write_through(thread, writes)
+    return engine
+
+
+def _build_cluster_delta(graph: DiGraph):
+    """The ``cluster`` engine answering from a delta sidecar.
+
+    As ``server-delta``, through two forked workers: every answer comes
+    from a worker's mmap'd base generation plus the published
+    ``.delta`` sidecar.  Forks per checkpoint; opt in with
+    ``--engines cluster-delta``.
+    """
+    import weakref
+    from repro.core.hybrid import HybridTCIndex
+    from repro.server.inprocess import ClusterThread, ServerBackedEngine
+    base, writes = withheld_writes(graph)
+    thread = ClusterThread(lambda: HybridTCIndex.build(base, **_UNFOLDED),
+                           workers=2, poll_interval=0.01)
+    engine = ServerBackedEngine(thread)
+    weakref.finalize(engine, thread.close)
+    _write_through(thread, writes)
+    return engine
+
+
 #: From-scratch engine builders, keyed by the names the CLI accepts.
 ENGINE_FACTORIES: Dict[str, Callable[[DiGraph], object]] = {
     "rebuild": _build_interval,
@@ -368,6 +445,8 @@ ENGINE_FACTORIES: Dict[str, Callable[[DiGraph], object]] = {
     "server": _build_server,
     "server-chaos": _build_server_chaos,
     "cluster": _build_cluster,
+    "server-delta": _build_server_delta,
+    "cluster-delta": _build_cluster_delta,
 }
 
 #: Shorthand accepted by ``--engines``: expands to every baseline engine.

@@ -1,7 +1,9 @@
 """TCEngine conformance: every engine shares one query surface.
 
 Parametrized over the mutable, frozen, hybrid, durable, RTCF, 2-hop
-label and chain-cover engines:
+label and chain-cover engines, plus the pinned hybrid view a server
+publishes (built with a live delta of withheld arcs and one withheld
+node):
 method presence (``isinstance`` against the runtime-checkable protocol),
 exact signature equality via :func:`inspect.signature`, shared reflexive
 semantics, empty-graph edge cases, batch-equals-singles, and the
@@ -22,7 +24,7 @@ from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, QueryTracer, attach
 
 ENGINE_NAMES = ("interval", "frozen", "hybrid", "durable", "rtcf",
-                "hoplabel", "chain")
+                "hoplabel", "chain", "hybrid-view")
 
 #: The query surface whose signatures must match byte-for-byte.
 QUERY_METHODS = (
@@ -83,6 +85,12 @@ def make_engine(name, graph, tmp_path, *, metrics=None, tracer=None):
         from repro.core.chain_cover import ChainCoverIndex
         return attach(ChainCoverIndex.build(graph), metrics=metrics,
                       tracer=tracer)
+    if name == "hybrid-view":
+        from repro.testing.oracle import _build_hybrid_delta
+        view = _build_hybrid_delta(graph).snapshot()
+        if len(graph):
+            assert view.delta_arcs and view.delta_nodes
+        return attach(view, metrics=metrics, tracer=tracer)
     raise AssertionError(name)
 
 
@@ -294,7 +302,7 @@ class TestEmptyBatchOnPopulatedGraph:
 #: node), which is far too slow at 5k nodes for tier-1; the other
 #: engines all build from a graph in one pass.
 SCALE_ENGINE_NAMES = ("interval", "frozen", "hybrid", "rtcf", "hoplabel",
-                      "chain")
+                      "chain", "hybrid-view")
 
 
 @pytest.mark.parametrize("name", SCALE_ENGINE_NAMES)

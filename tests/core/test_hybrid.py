@@ -382,31 +382,59 @@ class TestSnapshotEpoch:
     def test_snapshot_is_detached_and_immutable(self, paper_dag):
         hybrid = HybridTCIndex.build(paper_dag, max_delta=1_000_000, max_ratio=1_000_000.0)
         first = hybrid.snapshot()
-        assert first is hybrid.base
+        assert first.base is hybrid.base
         before = first.successors("a")
         hybrid.add_node("z", parents=["a"])
         # The pinned snapshot never sees later writes...
         assert "z" not in first
         assert first.successors("a") == before
-        # ...while a fresh one does, as a different object.
+        # ...while a fresh one does, as a different object over the
+        # same base: publishing a write costs O(delta), not a freeze.
         second = hybrid.snapshot()
         assert second is not first
+        assert second.base is first.base
         assert "z" in second
         assert "z" in second.successors("a")
 
     def test_epoch_counts_publishes_not_mutations(self, paper_dag):
+        """The epoch counts folds (base publishes): neither a mutation
+        nor a snapshot over an untainted delta advances it."""
         hybrid = HybridTCIndex.build(paper_dag, max_delta=1_000_000, max_ratio=1_000_000.0)
         start = hybrid.epoch
         hybrid.add_node("x1", parents=["a"])
         hybrid.add_node("x2", parents=["x1"])
         hybrid.add_arc("x2", "h")
-        assert hybrid.epoch == start  # nothing published yet
-        hybrid.snapshot()
+        assert hybrid.epoch == start  # nothing folded yet
+        view = hybrid.snapshot()
+        assert hybrid.epoch == start  # a snapshot carries the delta
+        assert view.delta_size == 3 and view.delta_nodes == {"x1", "x2"}
+        assert hybrid.compact()
         assert hybrid.epoch == start + 1  # one fold for three writes
         # A clean snapshot (no pending delta) publishes nothing new.
         again = hybrid.snapshot()
         assert hybrid.epoch == start + 1
-        assert again is hybrid.base
+        assert again.base is hybrid.base and again.delta_size == 0
+
+    def test_snapshot_folds_a_tainted_base(self, paper_dag):
+        """No overlay can express a deletion of base structure, so a
+        snapshot after one folds first."""
+        hybrid = HybridTCIndex.build(paper_dag, max_delta=1_000_000,
+                                     max_ratio=1_000_000.0)
+        hybrid.remove_arc("a", "b")
+        assert hybrid.tainted
+        view = hybrid.snapshot()
+        assert not hybrid.tainted and hybrid.compactions == 1
+        assert view.base is hybrid.base and view.delta_size == 0
+
+    def test_snapshot_survives_later_compaction(self, paper_dag):
+        hybrid = HybridTCIndex.build(paper_dag, max_delta=1_000_000,
+                                     max_ratio=1_000_000.0)
+        hybrid.add_node("w", parents=["h"])
+        view = hybrid.snapshot()
+        hybrid.add_arc("w", "g")
+        hybrid.compact()
+        assert view.reachable("h", "w") and not view.reachable("w", "g")
+        assert hybrid.reachable("w", "g")
 
     def test_snapshot_answers_exactly(self, paper_dag):
         hybrid = HybridTCIndex.build(paper_dag, max_delta=1_000_000, max_ratio=1_000_000.0)

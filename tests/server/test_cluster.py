@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core.hybrid import HybridTCIndex
+from repro.errors import NodeNotFoundError
 from repro.graph.generators import random_dag
 from repro.server.client import ReachabilityClient, ServerError
 from repro.server.inprocess import ClusterThread
@@ -33,10 +34,16 @@ def _factory():
     return HybridTCIndex.from_arcs(ARCS)
 
 
-def _cluster(**kwargs):
+def _unfolded_factory():
+    """Thresholds out of reach: every write publishes a delta sidecar."""
+    return HybridTCIndex.from_arcs(ARCS, max_delta=1_000_000,
+                                   max_ratio=1_000_000.0)
+
+
+def _cluster(factory=_factory, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("poll_interval", 0.005)
-    return ClusterThread(_factory, **kwargs)
+    return ClusterThread(factory, **kwargs)
 
 
 def _http_json(thread, path):
@@ -340,10 +347,13 @@ def test_killed_worker_is_respawned_and_serves_again():
 
 
 def test_parent_healthz_reports_epoch_generation_and_workers():
-    with _cluster() as thread:
+    """``generation`` names the base ``CURRENT`` points at and ``delta``
+    the sidecar the served epoch adds to it: a write below the fold
+    threshold moves the epoch, not the base."""
+    with _cluster(factory=_unfolded_factory) as thread:
         client = thread.connect()
         try:
-            thread.run_coro(client.add_arc("c", "d"))
+            ack = thread.run_coro(client.add_arc("c", "d"))
         finally:
             thread.run_coro(client.close())
         head, body = _http_json(thread, b"/healthz")
@@ -351,8 +361,11 @@ def test_parent_healthz_reports_epoch_generation_and_workers():
         health = json.loads(body)
         assert health["ok"] is True
         assert health["role"] == "writer"
-        assert health["epoch"] >= 1
-        assert health["generation"] == f"gen-{health['epoch']}.rtcf"
+        assert health["epoch"] == ack == 1
+        assert health["generation"] == "gen-0.rtcf"
+        assert health["delta"] == "gen-0+1.delta"
+        base = (thread.cluster.store.root / "CURRENT").read_text().strip()
+        assert base == health["generation"]
         workers = {w["worker_id"]: w for w in health["workers"]}
         assert set(workers) == {0, 1}
         assert all(w["alive"] for w in workers.values())
@@ -373,3 +386,103 @@ def test_parent_metrics_merge_all_workers():
         assert "# TYPE tc_server_requests_total counter" in text
         for tag in ('worker_id="0"', 'worker_id="1"', 'worker_id="writer"'):
             assert tag in text, f"missing {tag} in merged metrics"
+
+
+def test_parent_metrics_explain_the_overlay_on_every_process():
+    """``tc_server_delta_arcs`` and ``tc_server_compactions_total`` are
+    scraped from the writer and from each worker: after two delta
+    publishes every process serves a 2-arc overlay over the first base;
+    after a deletion folds it, every process serves a bare new base."""
+    with _cluster(factory=_unfolded_factory) as thread:
+        client = thread.connect()
+        try:
+            thread.run_coro(client.add_arc("c", "d"))
+            thread.run_coro(client.add_node("e", parents=["d"]))
+            _await_all_workers(thread, 2)
+            series = _scrape(thread)
+            for tag in ("writer", "0", "1"):
+                assert series[f'tc_server_delta_arcs{{worker_id="{tag}"}}'] \
+                    == 2
+                assert series[
+                    f'tc_server_compactions_total{{worker_id="{tag}"}}'] == 0
+            epoch = thread.run_coro(client.remove_arc("a", "b"))
+            _await_all_workers(thread, epoch)
+            series = _scrape(thread)
+            for tag in ("writer", "0", "1"):
+                assert series[f'tc_server_delta_arcs{{worker_id="{tag}"}}'] \
+                    == 0
+                assert series[
+                    f'tc_server_compactions_total{{worker_id="{tag}"}}'] == 1
+            assert thread.cluster.health()["delta"] is None
+        finally:
+            thread.run_coro(client.close())
+
+
+def _await_all_workers(thread, epoch):
+    for worker_id in (0, 1):
+        pinned = thread.connect_worker(worker_id)
+        try:
+            assert thread.run_coro(pinned.stats())["epoch"] >= epoch
+        finally:
+            thread.run_coro(pinned.close())
+
+
+def _scrape(thread):
+    _, body = _http_json(thread, b"/metrics")
+    series = {}
+    for line in body.decode("utf-8").splitlines():
+        if line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            series[name] = float(value)
+    return series
+
+
+@pytest.mark.parametrize("engine", ["hoplabel", "chain"])
+def test_engines_without_buffers_are_refused_at_startup(engine):
+    from repro.errors import ReproError
+    from repro.factory import open_index
+    from repro.graph.digraph import DiGraph
+    from repro.server.cluster import ClusterServer
+    built = open_index(DiGraph(ARCS), engine=engine)
+    with pytest.raises(ReproError, match=type(built).__name__):
+        ClusterServer(built, workers=1)
+
+
+def test_restart_on_the_same_snapshot_dir_serves_fresh_epochs(tmp_path):
+    """Acked writes leave a sidecar behind; a restarted cluster on the
+    same directory starts its epochs above every one found there and
+    serves its own engine, never the leftover overlay."""
+    snapshots = tmp_path / "snapshots"
+    with _cluster(factory=_unfolded_factory,
+                  snapshot_dir=str(snapshots)) as thread:
+        client = thread.connect()
+        try:
+            thread.run_coro(client.add_arc("d", "c"))
+            last = thread.run_coro(client.add_node("x", parents=["c"]))
+        finally:
+            thread.run_coro(client.close())
+    assert (snapshots / f"gen-0+{last}.delta").exists()
+    oracle = SetClosureOracle(arcs=ARCS)
+    with _cluster(factory=_unfolded_factory,
+                  snapshot_dir=str(snapshots)) as thread:
+        first = thread.call("stats")["epoch"]
+        assert first >= last
+        for worker_id in (0, 1):
+            pinned = thread.connect_worker(worker_id)
+            try:
+                assert thread.run_coro(pinned.stats())["epoch"] == first
+                for u in oracle.nodes():
+                    assert set(thread.run_coro(pinned.expand(u))) == \
+                        set(oracle.successors(u))
+                with pytest.raises(NodeNotFoundError):
+                    thread.run_coro(pinned.check("a", "x"))
+            finally:
+                thread.run_coro(pinned.close())
+        leftovers = [name for name in os.listdir(snapshots)
+                     if name.endswith(".delta")]
+        assert leftovers == []
+        client = thread.connect()
+        try:
+            assert thread.run_coro(client.add_arc("d", "c")) == first + 1
+        finally:
+            thread.run_coro(client.close())

@@ -9,14 +9,16 @@ generation serving.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
-from repro.core.hybrid import HybridTCIndex
+from repro.core.hybrid import HybridTCIndex, HybridView
 from repro.errors import ReproError, SimulatedCrash
 from repro.server.generations import (CURRENT_NAME, GenerationStore,
-                                      generation_name, parse_generation)
+                                      delta_name, generation_name,
+                                      parse_delta, parse_generation)
 from repro.testing.faults import FaultyFS
 
 ARCS_V0 = [("a", "b"), ("b", "c")]
@@ -161,3 +163,129 @@ class TestTornPublish:
         (tmp_path / CURRENT_NAME).write_text("not-a-generation\n")
         with pytest.raises(CorruptFileError):
             store.current()
+
+
+# ----------------------------------------------------------------------
+# delta sidecars: base plus overlay, published in O(delta)
+# ----------------------------------------------------------------------
+
+def _unfolded(arcs):
+    return HybridTCIndex.from_arcs(arcs, max_delta=1_000_000,
+                                   max_ratio=1_000_000.0)
+
+
+def test_delta_names_round_trip():
+    assert delta_name(3, 17) == "gen-3+17.delta"
+    assert parse_delta("gen-3+17.delta") == (3, 17)
+    assert parse_delta("gen-3.rtcf") is None
+    assert parse_generation("gen-3+17.delta") is None
+
+
+def test_delta_publish_keeps_the_base_and_writes_a_sidecar(tmp_path):
+    hybrid = _unfolded(ARCS_V0)
+    store = GenerationStore(tmp_path)
+    store.publish(hybrid.snapshot(), 0)
+    hybrid.add_node("d", ["c"])
+    assert store.publish(hybrid.snapshot(), 1) == "gen-0.rtcf"
+    assert store.current() == (0, "gen-0.rtcf")  # CURRENT never moved
+    assert store.published_epoch() == 1
+    document = json.loads((tmp_path / "gen-0+1.delta").read_text())
+    assert document == {"format": 1, "base": "gen-0.rtcf", "epoch": 1,
+                        "delta_arcs": [["c", "d"]], "delta_nodes": ["d"]}
+    epoch, name, view = store.attach()
+    assert (epoch, name) == (1, "gen-0.rtcf")
+    assert isinstance(view, HybridView)
+    assert view.reachable("a", "d") and not view.reachable("d", "a")
+    # A reader whose base is unchanged keeps its mapping.
+    _, _, again = GenerationStore(tmp_path).attach(reuse=(name, view.base))
+    assert again.base is view.base
+
+
+def test_an_emptied_delta_still_publishes_a_sidecar(tmp_path):
+    """Adding then removing a delta arc leaves the base unchanged and
+    the overlay empty; the epoch still needs a sidecar to attach."""
+    hybrid = _unfolded(ARCS_V1)
+    store = GenerationStore(tmp_path)
+    store.publish(hybrid.snapshot(), 0)
+    hybrid.add_arc("a", "d")
+    hybrid.remove_arc("a", "d")
+    store.publish(hybrid.snapshot(), 1)
+    epoch, _, view = store.attach()
+    assert epoch == 1 and view.delta_size == 0 and view.reachable("a", "d")
+
+
+def test_gc_keeps_only_the_served_sidecar(tmp_path):
+    hybrid = _unfolded(ARCS_V0)
+    store = GenerationStore(tmp_path)
+    store.publish(hybrid.snapshot(), 0)
+    for epoch, node in enumerate("xyz", start=1):
+        hybrid.add_node(node, ["c"])
+        store.publish(hybrid.snapshot(), epoch)
+    assert sorted(name for name in os.listdir(tmp_path)
+                  if parse_delta(name)) == ["gen-0+3.delta"]
+    # A fold publishes a new base and sweeps the old base's sidecars.
+    hybrid.compact()
+    assert store.publish(hybrid.snapshot(), 4) == "gen-4.rtcf"
+    assert not [name for name in os.listdir(tmp_path) if parse_delta(name)]
+    epoch, _, view = store.attach()
+    assert epoch == 4 and view.reachable("a", "z")
+
+
+def test_a_new_base_must_come_without_a_delta(tmp_path):
+    hybrid = _unfolded(ARCS_V0)
+    hybrid.add_node("d", ["c"])
+    with pytest.raises(ReproError, match="fold"):
+        GenerationStore(tmp_path).publish(hybrid.snapshot(), 0)
+
+
+@pytest.mark.parametrize("engine", ["hoplabel", "chain"])
+def test_engines_without_buffers_are_refused_by_name(tmp_path, engine):
+    from repro.factory import open_index
+    from repro.graph.digraph import DiGraph
+    built = open_index(DiGraph(ARCS_V0), engine=engine)
+    with pytest.raises(ReproError, match=type(built).__name__):
+        GenerationStore(tmp_path).publish(built, 0)
+
+
+def test_newest_epoch_reads_the_word_and_every_name(tmp_path):
+    store = GenerationStore(tmp_path)
+    assert store.newest_epoch() == -1
+    hybrid = _unfolded(ARCS_V0)
+    store.publish(hybrid.snapshot(), 4)
+    assert store.newest_epoch() == 4
+    (tmp_path / "gen-4+9.delta").write_text("{}")  # a leftover sidecar
+    assert store.newest_epoch() == 9
+    (tmp_path / "gen-11.rtcf").write_bytes(b"")
+    assert store.newest_epoch() == 11
+
+
+class TestTornDeltaPublish:
+    """A crash at any step of a sidecar publish — the write, the
+    rename, the epoch-word store — leaves the previous epoch serving,
+    and the next publish sweeps what the crash left."""
+
+    @pytest.mark.parametrize("point", [
+        "delta.temp.mid-write", "delta.pre-rename", "delta.drop-rename",
+        "delta.post-rename", "epoch.pre-store"])
+    def test_crash_keeps_the_previous_epoch(self, tmp_path, point):
+        hybrid = _unfolded(ARCS_V0)
+        # epoch.pre-store is also visited by the first (base) publish.
+        faulty = FaultyFS(crash_at=point,
+                          occurrence=2 if point.startswith("epoch") else 1)
+        store = GenerationStore(tmp_path, fs=faulty)
+        store.publish(hybrid.snapshot(), 0)
+        hybrid.add_node("d", ["c"])
+        with pytest.raises(SimulatedCrash):
+            store.publish(hybrid.snapshot(), 1)
+        reader = GenerationStore(tmp_path)
+        epoch, name, view = reader.attach()
+        assert (epoch, name) == (0, "gen-0.rtcf")
+        assert "d" not in view  # the unacked write is invisible
+        assert reader.published_epoch() == 0
+        # The writer carries on: the next publish lands and sweeps.
+        hybrid.add_node("e", ["d"])
+        store.publish(hybrid.snapshot(), 2)
+        assert sorted(os.listdir(tmp_path)) == [
+            "CURRENT", "EPOCH", "gen-0+2.delta", "gen-0.rtcf"]
+        epoch, _, view = reader.attach()
+        assert epoch == 2 and view.reachable("a", "e")

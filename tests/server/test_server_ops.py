@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.hybrid import HybridTCIndex
+from repro.core.hybrid import HybridTCIndex, HybridView
 from repro.core.index import IntervalTCIndex
 from repro.errors import CycleError, NodeNotFoundError
 from repro.graph.generators import random_dag
+from repro.obs.export import render_prometheus
 from repro.server.client import ServerError
 from repro.server.inprocess import ServerBackedEngine, ServerThread
 from repro.testing.oracle import SetClosureOracle, compare_engine
@@ -125,6 +126,58 @@ class TestWriteOps:
                 assert epoch >= 1
                 assert await client.check("a", "z2")
         run(scenario())
+
+
+class TestDeltaPublish:
+    """Writes publish the hybrid's base plus a frozen delta — no freeze
+    on the ack path — until a taint or the cost policy folds them."""
+
+    def test_writes_publish_the_unchanged_base_plus_the_delta(self):
+        async def scenario():
+            engine = HybridTCIndex.from_arcs(
+                [("a", "b"), ("b", "c")], max_delta=1000, max_ratio=1000.0)
+            base = engine.base
+            async with connected(engine) as (server, client):
+                await client.add_node("d", parents=["c"])
+                await client.add_arc("b", "d")
+                view = server.state.snapshot.engine
+                assert isinstance(view, HybridView) and view.base is base
+                assert view.delta_nodes == {"d"} and view.delta_size == 2
+                assert await client.check("a", "d")
+                assert (await client.stats())["snapshot"]["delta_arcs"] == 2
+                assert _scraped(server, "tc_server_delta_arcs") == 2
+                assert _scraped(server, "tc_server_compactions_total") == 0
+                # A deletion of base structure folds before the ack.
+                await client.remove_arc("a", "b")
+                view = server.state.snapshot.engine
+                assert view.base is not base and view.delta_size == 0
+                assert not await client.check("a", "d")
+                assert _scraped(server, "tc_server_delta_arcs") == 0
+                assert _scraped(server, "tc_server_compactions_total") == 1
+        run(scenario())
+
+    def test_a_served_interval_index_folds_on_the_default_policy(self):
+        """The interval-engine wrap keeps the hybrid's cost policy, so
+        its overlay cannot grow without bound."""
+        async def scenario():
+            graph = random_dag(40, 1.5, 5)
+            engine = IntervalTCIndex.build(graph)
+            async with connected(engine) as (server, client):
+                for i in range(12):
+                    await client.add_node(f"n{i}", parents=[0])
+                assert _scraped(server, "tc_server_compactions_total") >= 1
+                assert server.state.snapshot.engine.delta_size < 12
+        run(scenario())
+
+
+def _scraped(server, name):
+    """One unlabelled series from the server's Prometheus text."""
+    text = render_prometheus(server.metrics)
+    for line in text.splitlines():
+        series, _, value = line.rpartition(" ")
+        if series == name:
+            return float(value)
+    raise AssertionError(f"{name} missing from the scrape")
 
 
 class TestIntrospectionOps:
